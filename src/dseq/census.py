@@ -8,6 +8,7 @@ is identical for any worker count, with or without a cache.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from .numtheory import multiplicative_order, sieve_primes
@@ -121,9 +122,11 @@ def batch_records(
         else:
             todo.append(p)
     if todo:
-        if jobs > 1 and len(todo) > 1:
-            chunk = max(1, len(todo) // (jobs * 8))
-            with multiprocessing.Pool(jobs) as pool:
+        # more workers than cores or than primes to compute only cost start-up
+        workers = min(jobs, os.cpu_count() or 1, len(todo))
+        if workers > 1:
+            chunk = max(1, len(todo) // (workers * 8))
+            with multiprocessing.Pool(workers) as pool:
                 computed = pool.map(_record_for_prime, todo, chunksize=chunk)
         else:
             computed = [_record_for_prime(p) for p in todo]

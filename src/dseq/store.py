@@ -87,18 +87,20 @@ class ResultCache:
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        else:
+        # bytes, so that the clip offset is a byte offset whatever the line ends
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        # universal newlines, as text mode would read them
+        text = data[:end].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")[:-1]
+        if end < len(data):
             # no trailing newline: an interrupted writer left a partial line
             log.warning(
                 "%s:%d: skipping truncated final line %r",
-                self.path, len(lines), lines[-1],
+                self.path, len(lines) + 1, data[end:].decode("utf-8", "replace"),
             )
-            self._clip_to = len(text) - len(lines.pop())
+            self._clip_to = end
         if not lines:
             return
         if lines[0] != CACHE_HEADER:
@@ -121,18 +123,12 @@ class ResultCache:
         if self._fh is None:
             if self._clip_to is not None:
                 # drop the truncated tail before writing anything new
-                self._fh = open(self.path, "r+", encoding="utf-8")
-                self._fh.seek(self._clip_to)
-                self._fh.truncate()
+                os.truncate(self.path, self._clip_to)
                 self._clip_to = None
-                if self._fh.tell() == 0:
-                    self._fh.write(CACHE_HEADER + "\n")
-            else:
-                fresh = (not os.path.exists(self.path)
-                         or os.path.getsize(self.path) == 0)
-                self._fh = open(self.path, "a", encoding="utf-8")
-                if fresh:
-                    self._fh.write(CACHE_HEADER + "\n")
+            fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
+            self._fh = open(self.path, "a", encoding="utf-8")
+            if fresh:
+                self._fh.write(CACHE_HEADER + "\n")
         return self._fh
 
     def lookup(self, p: int) -> CacheRecord | None:

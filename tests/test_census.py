@@ -78,6 +78,40 @@ def test_batch_records_orders_and_caches(tmp_path):
     assert batch_records(primes) == recs  # no cache, same values
 
 
+@pytest.mark.parametrize("jobs, cpus, primes, size", [
+    (64, 4, [7, 11, 13, 17, 19, 23], 4),  # clamped to the cores
+    (64, 4, [7, 11, 13], 3),  # clamped to the primes to compute
+    (3, 8, [7, 11, 13, 17], 3),  # the asked-for size when it fits
+    (64, None, [7, 11, 13], None),  # unknown core count: one, so no pool
+    (64, 4, [7], None),  # one prime: no pool
+])
+def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
+    import dseq.census
+
+    asked = []
+
+    class RecordingPool:
+        """Records the size it was asked for and maps in-process."""
+
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(dseq.census.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(dseq.census.multiprocessing, "Pool", RecordingPool)
+    recs = batch_records(primes, jobs=jobs)
+    assert asked == ([] if size is None else [size])
+    assert recs == batch_records(primes)
+
+
 def test_class_census_matches_golden_rows(session_cache):
     rows = class_census([601, 3001], ClassKey(1, EVEN, HALF), cache=session_cache)
     expected = golden_rows(1)[:2]

@@ -90,12 +90,13 @@ def test_histogram_examples():
         35, 28, 28, 31, 28, 28, 31, 28, 28, 35)
     assert histogram(ReciprocalSpec.for_prime(7)).counts == (
         0, 1, 1, 0, 1, 1, 0, 1, 1, 0)
-    # period 455 exercises the vectorized path's first block boundary
+    # odd period 455: every digit is counted, not half and a mirror
     assert histogram(ReciprocalSpec.for_prime(911)).total == 455
 
 
 def test_histogram_paths_agree():
-    # periods straddling the scalar/vector cutoff must agree with counting
+    # every kernel branch agrees with counting the stream: full length
+    # (1021, 1033, ...), even period (1049, 1061) and odd period (1031, 1039)
     for p in [1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069]:
         spec = ReciprocalSpec.for_prime(p)
         assert histogram(spec).counts == _counted(spec)
@@ -104,6 +105,36 @@ def test_histogram_paths_agree():
 def _counted(spec):
     c = Counter(digit_stream(spec))
     return tuple(c.get(d, 0) for d in range(10))
+
+
+def _long_division_counts(spec):
+    c = Counter(long_division_digits(spec.p, spec.period))
+    return tuple(c.get(d, 0) for d in range(10))
+
+
+def test_histogram_equals_long_division_to_2e4():
+    bad = []
+    for p in sieve_primes(20_000):
+        if p in (2, 5):
+            continue
+        spec = ReciprocalSpec.for_prime(p)
+        if histogram(spec).counts != _long_division_counts(spec):
+            bad.append(p)
+    assert bad == []
+
+
+@pytest.mark.parametrize("p, period", [
+    (999983, 999982),  # full length: closed form
+    (999979, 333326),  # other, even period: half and a mirror
+    (999961, 124995),  # other, odd period
+    (999883, 499941),  # half length, odd period
+    (999917, 499958),  # half length, even period; the last lane stops early
+    (998201, 499100),  # half length, even period; every lane takes all steps
+])
+def test_histogram_equals_long_division_near_1e6(p, period):
+    spec = ReciprocalSpec.for_prime(p)
+    assert spec.period == period
+    assert histogram(spec).counts == _long_division_counts(spec)
 
 
 @given(prime_st)
@@ -131,6 +162,15 @@ def test_formula_equals_long_division(p):
     spec = ReciprocalSpec.for_prime(p)
     n = min(spec.period, 200)
     assert list(digit_prefix(spec, n)) == long_division_digits(p, n)
+
+
+def test_kernel_exact_at_prime_cap():
+    # residues near 2**31 make the kernel's uint64 products approach 2**62
+    from dseq.sequence import _count_digits
+
+    n = 3 * 2**13 + 5  # several steps, and lanes of unequal length
+    c = Counter(long_division_digits(PRIME_CAP, n))
+    assert _count_digits(PRIME_CAP, n) == [c.get(d, 0) for d in range(10)]
 
 
 def test_histogram_type():

@@ -117,6 +117,23 @@ def test_truncated_final_line_skipped(tmp_path, caplog):
         assert len(cache) == 2
 
 
+def test_torn_tail_after_crlf_lines_clipped_by_bytes(tmp_path):
+    # with CRLF line ends, a character offset into the newline-translated
+    # text lands inside an earlier record; the clip must count bytes
+    path = tmp_path / "c.csv"
+    kept = "".join(line + "\r\n" for line in
+                   [CACHE_HEADER] + [_record(p).to_line() for p in (3, 7, 11, 13, 19)])
+    path.write_bytes(kept.encode() + b"23,7,2")
+    with ResultCache(path) as cache:
+        assert len(cache) == 5
+        cache.append(_record(23))
+    assert path.read_bytes() == kept.encode() + (_record(23).to_line() + "\n").encode()
+    with ResultCache(path) as cache:
+        assert len(cache) == 6
+        assert cache.lookup(19) == _record(19)
+        assert cache.lookup(23) == _record(23)
+
+
 def test_empty_file_is_fresh(tmp_path):
     path = tmp_path / "c.csv"
     path.touch()
