@@ -74,10 +74,13 @@ def _length_class(cofactor: int) -> str:
 
 
 def classify(p: int, *, cache: ResultCache | None = None) -> PrimeProfile:
-    """Profile an odd prime != 5 (period from the cache when available)."""
-    l = l_multiplier(p)
+    """Profile an odd prime != 5 (multiplier and period from the cache when available)."""
     rec = cache.lookup(p) if cache is not None else None
-    period = rec.period if rec is not None else multiplicative_order(10, p)
+    if rec is not None:
+        # loading the record already checked p and its multiplier
+        l, period = rec.l, rec.period
+    else:
+        l, period = l_multiplier(p), multiplicative_order(10, p)
     k = (p - 1) // period
     parity = EVEN if (p // 10) % 2 == 0 else ODD
     return PrimeProfile(p, l, period, k, ClassKey(p % 10, parity, _length_class(k)))
@@ -126,6 +129,10 @@ def batch_records(
         workers = min(jobs, os.cpu_count() or 1, len(todo))
         if workers > 1:
             chunk = max(1, len(todo) // (workers * 8))
+            # import the kernel's numpy once, before the fork; importing it in each
+            # worker instead measured slower in both wall and CPU time
+            import numpy  # noqa: F401
+
             with multiprocessing.Pool(workers) as pool:
                 computed = pool.map(_record_for_prime, todo, chunksize=chunk)
         else:

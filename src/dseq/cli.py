@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -334,17 +335,9 @@ def _cmd_digits(args) -> int:
     if args.n < 0:
         raise ValueError(f"digit count must be >= 0, got {args.n}")
     spec = ReciprocalSpec.for_prime(args.p)
-    line: list[str] = []
-    out: list[str] = []
-    for d in digit_prefix(spec, args.n):
-        line.append(str(d))
-        if len(line) == 80:
-            out.append("".join(line))
-            line = []
-    if line:
-        out.append("".join(line))
-    if out:
-        _emit("\n".join(out) + "\n")
+    digits = iter(digit_prefix(spec, args.n))
+    for _ in range(0, args.n, 80):  # one line of up to 80 digits at a time
+        _emit("".join(map(str, itertools.islice(digits, 80))) + "\n")
     return 0
 
 

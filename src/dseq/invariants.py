@@ -70,9 +70,11 @@ Counts = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SubCheck:
+    """One named check; ``run(p, m, f)`` is None when it holds, else the observed detail."""
+
     name: str
     level: str
-    run: Callable[[int, int, Counts], tuple[bool, str]]
+    run: Callable[[int, int, Counts], str | None]
     extremal: bool = False
 
 
@@ -81,40 +83,42 @@ def _fmt(f: Counts, digits) -> str:
 
 
 def _equal_group(name: str, level: str, digits: tuple[int, ...]) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> tuple[bool, str]:
-        return len({f[d] for d in digits}) == 1, _fmt(f, digits)
+    def run(p: int, m: int, f: Counts) -> str | None:
+        return None if len({f[d] for d in digits}) == 1 else _fmt(f, digits)
 
     return SubCheck(name, level, run)
 
 
 def _comp_sums(name: str, level: str, digits: tuple[int, ...], offset: int) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> tuple[bool, str]:
-        ok = all(f[d] + f[9 - d] == m + offset for d in digits)
+    def run(p: int, m: int, f: Counts) -> str | None:
+        if all(f[d] + f[9 - d] == m + offset for d in digits):
+            return None
         obs = " ".join(f"f({d})+f({9-d})={f[d]+f[9-d]}" for d in digits)
-        return ok, f"{obs} expected {m + offset}"
+        return f"{obs} expected {m + offset}"
 
     return SubCheck(name, level, run)
 
 
 def _mirror(name: str, level: str) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> tuple[bool, str]:
+    def run(p: int, m: int, f: Counts) -> str | None:
         bad = [d for d in range(5) if f[d] != f[9 - d]]
-        return not bad, _fmt(f, [x for d in bad for x in (d, 9 - d)] or range(10))
+        return _fmt(f, [x for d in bad for x in (d, 9 - d)]) if bad else None
 
     return SubCheck(name, level, run)
 
 
 def _period_total(name: str, offset: int) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> tuple[bool, str]:
-        return sum(f) == 5 * m + offset, f"total={sum(f)} expected {5 * m + offset}"
+    def run(p: int, m: int, f: Counts) -> str | None:
+        total = sum(f)
+        return None if total == 5 * m + offset else f"total={total} expected {5 * m + offset}"
 
     return SubCheck(name, HARD, run)
 
 
 def _closed_form(name: str, expected_of: Callable[[int], Counts]) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> tuple[bool, str]:
+    def run(p: int, m: int, f: Counts) -> str | None:
         expected = expected_of(p)
-        return f == expected, f"counts={f} expected {expected}"
+        return None if f == expected else f"counts={f} expected {expected}"
 
     return SubCheck(name, HARD, run)
 
@@ -125,21 +129,19 @@ def _extreme_set(f: Counts, kind: str) -> set[int]:
 
 
 def _extreme_in(name: str, level: str, kind: str, allowed: tuple[frozenset, ...]) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> tuple[bool, str]:
+    def run(p: int, m: int, f: Counts) -> str | None:
         got = _extreme_set(f, kind)
-        ok = any(got <= a for a in allowed)
-        return ok, f"{kind} digits {sorted(got)}"
+        return None if any(got <= a for a in allowed) else f"{kind} digits {sorted(got)}"
 
     return SubCheck(name, level, run, extremal=True)
 
 
 def _extreme_unique(name: str, level: str, kind: str, digit: int) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> tuple[bool, str]:
+    def run(p: int, m: int, f: Counts) -> str | None:
         got = _extreme_set(f, kind)
-        obs = f"{kind} digits {sorted(got)}"
-        if len(got) > 1:
-            obs += " (tie)"
-        return got == {digit}, obs
+        if got == {digit}:
+            return None
+        return f"{kind} digits {sorted(got)}" + (" (tie)" if len(got) > 1 else "")
 
     return SubCheck(name, level, run, extremal=True)
 
@@ -264,15 +266,15 @@ def check_histogram(profile: PrimeProfile, hist: DigitHistogram) -> RuleReport:
     for chk in RULES[rule]:
         if chk.extremal and p <= _EXTREMES_MIN_P:
             continue
-        ok, observed = chk.run(p, m, f)
+        failure = chk.run(p, m, f)
         if chk.level == SOFT:
-            soft[chk.name] = ok
-        elif not ok:
+            soft[chk.name] = failure is None
+        elif failure is not None:
             if chk.level == HARD:
                 hard = False
             else:
                 strong = False
-            details.append(f"{chk.level} {chk.name}: {observed}")
+            details.append(f"{chk.level} {chk.name}: {failure}")
     return RuleReport(p, rule, hard, strong, soft, tuple(details))
 
 

@@ -2,13 +2,18 @@
 
 Everything here is a pure function of its arguments and safe to call from
 any number of workers concurrently.
+
+``is_prime`` is a Miller-Rabin test with the smallest witness set that is
+exact for the size of n: bases {2, 3} below 1,373,653 and {2, 3, 5, 7} below
+3,215,031,751 (C. Pomerance, J. L. Selfridge, S. S. Wagstaff, *The
+pseudoprimes to 25*10^9*, Math. Comp. 35, 1980), which covers every prime the
+package accepts; larger n get the 7-witness set that is exact below 2^64.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "Factorization",
@@ -22,8 +27,10 @@ __all__ = [
 # Small primes used both for trial-division shortcuts and as first wheel spokes.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Fixed witness set giving a deterministic Miller-Rabin answer for all n < 2^64
-# (the well-known 7-witness set).
+# Miller-Rabin witness sets, each exact below its bound (see the module
+# docstring); the last is the well-known 7-witness set, exact for n < 2^64.
+_MR_BOUND_2_3 = 1_373_653
+_MR_BOUND_2_3_5_7 = 3_215_031_751
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
@@ -50,16 +57,16 @@ def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending. Empty for limit < 2."""
     if limit < 2:
         return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
+    mask = bytearray([1]) * (limit + 1)
+    mask[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).tolist()
+            mask[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return list(itertools.compress(range(limit + 1), mask))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all n < 2^64."""
+    """Deterministic primality test, exact for all n < 2^64 (see the module docstring)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -70,7 +77,13 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    if n < _MR_BOUND_2_3:
+        witnesses = (2, 3)
+    elif n < _MR_BOUND_2_3_5_7:
+        witnesses = (2, 3, 5, 7)
+    else:
+        witnesses = _MR_WITNESSES
+    for a in witnesses:
         a %= n
         if a == 0:
             continue

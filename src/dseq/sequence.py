@@ -12,14 +12,16 @@ form; an even period needs only its first half, because Midy's theorem gives
 ``r_{i+T/2} = p - r_i``, which maps digit d to 9 - d; an odd period is
 counted whole.  Counting runs long division on about 2**13 residues at a
 time in two buffers, so its memory does not grow with p.
+
+numpy is imported inside the counting kernel, not here: commands served
+from the results cache never count digits, and importing numpy would be a
+large share of their run time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .numtheory import is_prime, multiplicative_order
 
@@ -90,7 +92,7 @@ class DigitHistogram:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 10 or any(c < 0 for c in self.counts):
+        if len(self.counts) != 10 or min(self.counts) < 0:
             raise ValueError(f"need 10 nonnegative counts, got {self.counts}")
 
     @property
@@ -158,6 +160,8 @@ def _count_digits(p: int, n: int) -> list[int]:
     floor division, which numpy does several times faster than remainder for
     a uint64 scalar divisor.
     """
+    import numpy as np
+
     steps = -(-n // _LANES)
     lanes = -(-n // steps)
     # lane starts a**j mod p, a = 10**steps, as the product of a giant step

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .numtheory import is_prime
+from .sequence import _L_FOR_LSD, PRIME_CAP
 
 __all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache"]
 
 log = logging.getLogger(__name__)
 
 CACHE_HEADER = "dseq-cache,v1"
-
-_L_FOR_LSD = {1: 9, 3: 3, 7: 7, 9: 1}
 
 
 class CacheCorruptionError(Exception):
@@ -41,7 +40,7 @@ class CacheRecord:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 10 or any(c < 0 for c in self.counts):
+        if len(self.counts) != 10 or min(self.counts) < 0:
             raise ValueError(f"record for {self.p}: need 10 nonnegative counts")
         if sum(self.counts) != self.period:
             raise ValueError(
@@ -52,6 +51,8 @@ class CacheRecord:
             raise ValueError(f"record for {self.p}: cofactor*period != p-1")
         if _L_FOR_LSD.get(self.p % 10) != self.l:
             raise ValueError(f"record for {self.p}: wrong multiplier {self.l}")
+        if self.p > PRIME_CAP:
+            raise ValueError(f"record for {self.p}: exceeds the supported cap {PRIME_CAP}")
         if not is_prime(self.p):
             raise ValueError(f"record for {self.p}: not prime")
 
@@ -65,7 +66,7 @@ class CacheRecord:
         parts = line.split(",")
         if len(parts) != 14:
             raise ValueError(f"expected 14 fields, got {len(parts)}")
-        vals = [int(x) for x in parts]
+        vals = list(map(int, parts))
         return cls(vals[0], vals[1], vals[2], vals[3], tuple(vals[4:]))
 
 

@@ -50,6 +50,15 @@ def test_classify_examples():
         classify(5)
 
 
+def test_classify_from_cache_matches_computed(tmp_path):
+    from dseq.store import ResultCache
+
+    primes = census_primes(2000)
+    with ResultCache(tmp_path / "c.csv") as cache:
+        batch_records(primes, cache=cache)
+        assert [classify(p, cache=cache) for p in primes] == [classify(p) for p in primes]
+
+
 def test_classify_length_classes():
     assert classify(3).key.length_class == HALF  # period 1 = (3-1)/2
     assert classify(7).key.length_class == FULL

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from dseq.cli import main
 from dseq.invariants import RuleReport, RuleStats, VerificationSummary
+from dseq.sequence import long_division_digits
 from dseq.store import CACHE_HEADER
 
 
@@ -35,6 +39,14 @@ def test_digits_wraps_at_80(capsys):
     lines = out.splitlines()
     assert [len(x) for x in lines] == [80, 80, 5]
     assert lines[0] == "142857" * 13 + "14"
+
+
+@pytest.mark.parametrize("n", [160, 161])
+def test_digits_lines_match_long_division(capsys, n):
+    code, out, _ = run_cli(capsys, "digits", "97", str(n))
+    digits = "".join(map(str, long_division_digits(97, n)))
+    assert code == 0
+    assert out == "".join(digits[i:i + 80] + "\n" for i in range(0, n, 80))
 
 
 def test_digits_rejects_bad_input(capsys):
@@ -256,3 +268,33 @@ def test_corrupt_cache_exit_three(capsys, tmp_path):
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys)[0] == 1
+
+
+# Runs cache-served commands in a fresh interpreter; prints their stdout and
+# whether numpy got imported.
+_NUMPY_FREE = """
+import contextlib, io, json, sys
+from dseq.cli import main
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    outs.append([code, buf.getvalue()])
+print(json.dumps({"numpy": "numpy" in sys.modules, "outs": outs}))
+"""
+
+
+def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
+    cache = str(tmp_path / "c.csv")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-m", "dseq.cli", "figure", "2000", "--cache", cache],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
+    commands = [["verify", "2000", "json", "--cache", cache],
+                ["figure", "2000", "svg", "--cache", cache],
+                ["scan-parity", "2000", "--cache", cache]]
+    child = subprocess.run([sys.executable, "-c", _NUMPY_FREE, json.dumps(commands)],
+                           check=True, env=env, capture_output=True, text=True)
+    result = json.loads(child.stdout)
+    assert result["numpy"] is False
+    assert result["outs"] == [list(run_cli(capsys, *argv)[:2]) for argv in commands]

@@ -149,3 +149,59 @@ def test_verify_range_soft_rates(session_cache):
     assert 0 <= st_.soft_passed["max_group"] <= st_.soft_checked["max_group"]
     # soft outcomes never appear in violations
     assert summary.hard_failures == 0 and summary.strong_failures == 0
+
+
+# One perturbed real histogram per sub-check kind; the failure details are the
+# text `verify json` prints for a violation, so they are pinned byte for byte.
+PERTURBED = [
+    pytest.param(
+        601, {0: +1}, "HL1E", False, False,
+        ("hard total_5m: total=301 expected 300",
+         "strong f0_f9: f(0)=36 f(9)=35"),
+        {"max_group": True, "min_group": True},
+        id="period_total-equal_group",
+    ),
+    pytest.param(
+        17, {1: +1, 2: -1}, "FL7", False, True,
+        ("hard closed_form: counts=(1, 3, 1, 1, 2, 2, 1, 2, 2, 1) "
+         "expected (1, 2, 2, 1, 2, 2, 1, 2, 2, 1)",),
+        {},
+        id="closed_form",
+    ),
+    pytest.param(
+        911, {0: -12, 5: +12}, "HL1O", True, False,
+        ("strong pair_sums_m: f(0)+f(9)=79 f(1)+f(8)=91 f(2)+f(7)=91 "
+         "f(3)+f(6)=91 f(4)+f(5)=103 expected 91",
+         "strong f1_f5_f6: f(1)=47 f(5)=59 f(6)=47",
+         "strong max_in_02: max digits [5]"),
+        {},
+        id="comp_sums-extreme_in",
+    ),
+    pytest.param(
+        5413, {4: +30, 1: -30}, "HL3O", True, False,
+        ("strong mirror: f(1)=237 f(8)=267 f(4)=289 f(5)=259",),
+        {"max_pair": False, "min_pair": True},
+        id="mirror-soft_extreme_in",
+    ),
+    pytest.param(
+        2203, {4: +26, 1: -26}, "HL3E", True, False,
+        ("strong pair_sums_m: f(0)+f(9)=220 f(1)+f(8)=194 f(2)+f(7)=220 "
+         "f(4)+f(5)=246 expected 220",
+         "strong f1_f4_f7: f(1)=75 f(4)=127 f(7)=101",
+         "strong max_is_3: max digits [3, 4] (tie)",
+         "strong min_is_6: min digits [1]"),
+        {},
+        id="extreme_unique",
+    ),
+]
+
+
+@pytest.mark.parametrize("p, delta, rule, hard, strong, details, soft", PERTURBED)
+def test_failure_details_are_pinned(p, delta, rule, hard, strong, details, soft):
+    counts = list(histogram(ReciprocalSpec.for_prime(p)).counts)
+    for d, change in delta.items():
+        counts[d] += change
+    report = check_histogram(classify(p), DigitHistogram(tuple(counts)))
+    assert (report.rule, report.hard_passed, report.strong_passed) == (rule, hard, strong)
+    assert report.details == details
+    assert report.soft_outcomes == soft

@@ -47,6 +47,20 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == (n in primes)
 
 
+def test_witness_sets_exact_across_first_bound():
+    # bases {2, 3} are exact below 1373653, bases {2, 3, 5, 7} above it
+    lo, hi = 1_360_000, 1_390_000
+    primes = set(p for p in sieve_primes(hi) if p >= lo)
+    assert [n for n in range(lo, hi + 1) if is_prime(n)] == sorted(primes)
+    # strong pseudoprimes to bases 2, 3 and to bases 2, 3, 5
+    assert not is_prime(1373653)  # 829 * 1657
+    assert not is_prime(25326001)  # 2251 * 11251
+
+
+def test_sieve_to_prime_below_1e6():
+    assert len(sieve_primes(999983)) == 78498
+
+
 def test_pow_mod_examples():
     assert pow_mod(10, 3, 7) == 6
     assert pow_mod(10, 0, 7) == 1

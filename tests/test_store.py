@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dseq.numtheory import sieve_primes
-from dseq.sequence import ReciprocalSpec, histogram
+from dseq.sequence import ReciprocalSpec, _full_length_counts, histogram
 from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
 
 
@@ -29,6 +29,9 @@ def test_record_validates():
         CacheRecord(601, 3, 300, 2, REC_601.counts)
     with pytest.raises(ValueError):  # not prime
         CacheRecord(91, 9, 6, 15, (2, 1, 0, 1, 0, 1, 0, 1, 0, 0))
+    big = 2147483659  # the least prime above PRIME_CAP, as a consistent full-length record
+    with pytest.raises(ValueError, match="exceeds the supported cap"):
+        CacheRecord(big, 1, big - 1, 1, _full_length_counts(big))
 
 
 def test_line_round_trip():
