@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import sys
@@ -335,9 +334,14 @@ def _cmd_digits(args) -> int:
     if args.n < 0:
         raise ValueError(f"digit count must be >= 0, got {args.n}")
     spec = ReciprocalSpec.for_prime(args.p)
-    digits = iter(digit_prefix(spec, args.n))
-    for _ in range(0, args.n, 80):  # one line of up to 80 digits at a time
-        _emit("".join(map(str, itertools.islice(digits, 80))) + "\n")
+    line: list[str] = []
+    for d in digit_prefix(spec, args.n):  # written one 80-digit line at a time
+        line.append(str(d))
+        if len(line) == 80:
+            _emit("".join(line) + "\n")
+            line = []
+    if line:
+        _emit("".join(line) + "\n")
     return 0
 
 

@@ -3,11 +3,11 @@
 Everything here is a pure function of its arguments and safe to call from
 any number of workers concurrently.
 
-``is_prime`` is a Miller-Rabin test with the smallest witness set that is
-exact for the size of n: bases {2, 3} below 1,373,653 and {2, 3, 5, 7} below
-3,215,031,751 (C. Pomerance, J. L. Selfridge, S. S. Wagstaff, *The
-pseudoprimes to 25*10^9*, Math. Comp. 35, 1980), which covers every prime the
-package accepts; larger n get the 7-witness set that is exact below 2^64.
+``is_prime`` is a Miller-Rabin test with two witness sets: bases {2, 3}
+are exact below 1,373,653 (C. Pomerance, J. L. Selfridge, S. S. Wagstaff,
+*The pseudoprimes to 25*10^9*, Math. Comp. 35, 1980), which covers every
+prime of the full 1e6 range; larger n get the 7-witness set that is exact
+below 2^64.
 """
 from __future__ import annotations
 
@@ -27,10 +27,9 @@ __all__ = [
 # Small primes used both for trial-division shortcuts and as first wheel spokes.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Miller-Rabin witness sets, each exact below its bound (see the module
-# docstring); the last is the well-known 7-witness set, exact for n < 2^64.
+# Miller-Rabin witness sets (see the module docstring): {2, 3} is exact below
+# _MR_BOUND_2_3, the 7-witness set for every n < 2^64.
 _MR_BOUND_2_3 = 1_373_653
-_MR_BOUND_2_3_5_7 = 3_215_031_751
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
@@ -77,12 +76,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_BOUND_2_3:
-        witnesses = (2, 3)
-    elif n < _MR_BOUND_2_3_5_7:
-        witnesses = (2, 3, 5, 7)
-    else:
-        witnesses = _MR_WITNESSES
+    witnesses = (2, 3) if n < _MR_BOUND_2_3 else _MR_WITNESSES
     for a in witnesses:
         a %= n
         if a == 0:

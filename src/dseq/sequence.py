@@ -92,7 +92,7 @@ class DigitHistogram:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.counts) != 10 or min(self.counts) < 0:
+        if len(self.counts) != 10 or any(c < 0 for c in self.counts):
             raise ValueError(f"need 10 nonnegative counts, got {self.counts}")
 
     @property

@@ -48,7 +48,7 @@ def test_is_prime_matches_sieve():
 
 
 def test_witness_sets_exact_across_first_bound():
-    # bases {2, 3} are exact below 1373653, bases {2, 3, 5, 7} above it
+    # bases {2, 3} are exact below 1373653, the 7-witness set above it
     lo, hi = 1_360_000, 1_390_000
     primes = set(p for p in sieve_primes(hi) if p >= lo)
     assert [n for n in range(lo, hi + 1) if is_prime(n)] == sorted(primes)
