@@ -12,11 +12,9 @@ from .census import (
     HALF,
     ODD,
     OTHER,
-    CensusRow,
     ClassKey,
     ParityCell,
     ParityScanReport,
-    PrimeProfile,
     batch_records,
     census_primes,
     class_census,
@@ -41,7 +39,6 @@ from .numtheory import (
     factorize,
     is_prime,
     multiplicative_order,
-    pow_mod,
     sieve_primes,
 )
 from .sequence import (
@@ -50,7 +47,6 @@ from .sequence import (
     ReciprocalSpec,
     digit_at,
     digit_prefix,
-    digit_stream,
     histogram,
     l_multiplier,
     long_division_digits,
@@ -75,13 +71,11 @@ __all__ = [
     "TABLE_PRIMES",
     "CacheCorruptionError",
     "CacheRecord",
-    "CensusRow",
     "ClassKey",
     "DigitHistogram",
     "Factorization",
     "ParityCell",
     "ParityScanReport",
-    "PrimeProfile",
     "ReciprocalSpec",
     "ResultCache",
     "RuleReport",
@@ -95,7 +89,6 @@ __all__ = [
     "classify",
     "digit_at",
     "digit_prefix",
-    "digit_stream",
     "factorize",
     "global_digit_census",
     "histogram",
@@ -103,7 +96,6 @@ __all__ = [
     "l_multiplier",
     "long_division_digits",
     "multiplicative_order",
-    "pow_mod",
     "sieve_primes",
     "table_rows",
     "third_digit_parity_scan",

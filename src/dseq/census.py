@@ -2,17 +2,33 @@
 
 A prime is classified by its last digit, the parity of its tens digit, and
 its length class: full (period = p-1), half (period = (p-1)/2) or other.
-Batch runs are data-parallel per prime and merged in prime order, so output
-is identical for any worker count, with or without a cache.
+
+Every range command goes through one pipeline: a cache hit is the stored
+record as it is; a miss is classified once, here; a caller may drop specs
+before any digit is counted; the misses left are counted (in a worker pool
+for jobs > 1), appended to the cache in ascending order, and every result
+comes back in input order.  Output is therefore identical for any worker
+count, with or without a cache.
 """
 from __future__ import annotations
 
 import multiprocessing
 import os
 from dataclasses import dataclass
+from typing import Callable
 
-from .numtheory import multiplicative_order, sieve_primes
-from .sequence import DigitHistogram, ReciprocalSpec, histogram, l_multiplier
+from .numtheory import sieve_primes
+from .sequence import (
+    EVEN,
+    FULL,
+    HALF,
+    ODD,
+    OTHER,
+    ClassKey,
+    DigitHistogram,
+    ReciprocalSpec,
+    histogram,
+)
 from .store import CacheRecord, ResultCache
 
 __all__ = [
@@ -22,8 +38,6 @@ __all__ = [
     "HALF",
     "OTHER",
     "ClassKey",
-    "PrimeProfile",
-    "CensusRow",
     "ParityCell",
     "ParityScanReport",
     "classify",
@@ -34,96 +48,40 @@ __all__ = [
     "census_primes",
 ]
 
-EVEN = "even"
-ODD = "odd"
-FULL = "full"
-HALF = "half"
-OTHER = "other"
 
-
-@dataclass(frozen=True)
-class ClassKey:
-    """(last digit, tens-digit parity, length class) of a prime."""
-
-    lsd: int
-    second_parity: str
-    length_class: str
-
-    def __post_init__(self) -> None:
-        if self.lsd not in (1, 3, 7, 9):
-            raise ValueError(f"last digit must be 1, 3, 7 or 9, got {self.lsd}")
-        if self.second_parity not in (EVEN, ODD):
-            raise ValueError(f"bad parity {self.second_parity!r}")
-        if self.length_class not in (FULL, HALF, OTHER):
-            raise ValueError(f"bad length class {self.length_class!r}")
-
-
-@dataclass(frozen=True)
-class PrimeProfile:
-    """A classified prime: multiplier, period, cofactor k = (p-1)/period, key."""
-
-    p: int
-    l: int
-    period: int
-    cofactor: int
-    key: ClassKey
-
-
-def _length_class(cofactor: int) -> str:
-    return FULL if cofactor == 1 else HALF if cofactor == 2 else OTHER
-
-
-def classify(p: int, *, cache: ResultCache | None = None) -> PrimeProfile:
-    """Profile an odd prime != 5 (multiplier and period from the cache when available)."""
+def classify(p: int, *, cache: ResultCache | None = None) -> ReciprocalSpec:
+    """The spec of an odd prime != 5 (multiplier and period from the cache when available)."""
     rec = cache.lookup(p) if cache is not None else None
     if rec is not None:
         # loading the record already checked p and its multiplier
-        l, period = rec.l, rec.period
-    else:
-        l, period = l_multiplier(p), multiplicative_order(10, p)
-    k = (p - 1) // period
-    parity = EVEN if (p // 10) % 2 == 0 else ODD
-    return PrimeProfile(p, l, period, k, ClassKey(p % 10, parity, _length_class(k)))
+        return ReciprocalSpec(rec.p, rec.l, rec.period)
+    return ReciprocalSpec.for_prime(p)
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    """One table row: a prime and its full-period digit histogram."""
-
-    p: int
-    histogram: DigitHistogram
-
-
-def _record_for_prime(p: int) -> CacheRecord:
-    spec = ReciprocalSpec.for_prime(p)
-    h = histogram(spec)
-    return CacheRecord(p, spec.l, spec.period, (p - 1) // spec.period, h.counts)
-
-
-def batch_records(
-    primes: list[int],
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> list[CacheRecord]:
-    """Period + digit counts for each prime, in input order.
-
-    Cache hits are reused; misses are computed (in a worker pool for
-    jobs > 1) and appended to the cache in ascending prime order.  The
-    returned list depends only on the input primes.
-    """
-    found: dict[int, CacheRecord] = {}
-    todo: list[int] = []
-    seen: set[int] = set()
+def _classified(
+    primes: list[int], cache: ResultCache | None
+) -> dict[int, ReciprocalSpec]:
+    """Each distinct prime's cached record, or on a miss its computed spec."""
+    specs: dict[int, ReciprocalSpec] = {}
     for p in primes:
-        if p in seen:
-            continue
-        seen.add(p)
-        rec = cache.lookup(p) if cache is not None else None
-        if rec is not None:
-            found[p] = rec
-        else:
-            todo.append(p)
+        if p not in specs:
+            rec = cache.lookup(p) if cache is not None else None
+            specs[p] = rec if rec is not None else classify(p)
+    return specs
+
+
+def _count(spec: ReciprocalSpec) -> CacheRecord:
+    return CacheRecord(spec.p, spec.l, spec.period, histogram(spec).counts)
+
+
+def _counted(
+    primes: list[int],
+    specs: dict[int, ReciprocalSpec],
+    jobs: int,
+    cache: ResultCache | None,
+) -> list[CacheRecord]:
+    """Records of the primes in specs, in input order; specs not yet records are counted."""
+    todo = [s for s in specs.values() if not isinstance(s, CacheRecord)]
     if todo:
         # more workers than cores or than primes to compute only cost start-up
         workers = min(jobs, os.cpu_count() or 1, len(todo))
@@ -134,14 +92,31 @@ def batch_records(
             import numpy  # noqa: F401
 
             with multiprocessing.Pool(workers) as pool:
-                computed = pool.map(_record_for_prime, todo, chunksize=chunk)
+                computed = pool.map(_count, todo, chunksize=chunk)
         else:
-            computed = [_record_for_prime(p) for p in todo]
+            computed = [_count(s) for s in todo]
         for rec in computed:
-            found[rec.p] = rec
+            specs[rec.p] = rec
         if cache is not None:
-            cache.append_many(found[p] for p in sorted(todo))
-    return [found[p] for p in primes]
+            cache.append_many(sorted(computed, key=lambda r: r.p))
+    return [specs[p] for p in primes if p in specs]
+
+
+def batch_records(
+    primes: list[int],
+    *,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+    keep: Callable[[ReciprocalSpec], bool] | None = None,
+) -> list[CacheRecord]:
+    """Records of the primes whose spec keep accepts (all by default), in input order.
+
+    The returned list depends only on the input primes, not on the cache.
+    """
+    specs = _classified(primes, cache)
+    if keep is not None:
+        specs = {p: s for p, s in specs.items() if keep(s)}
+    return _counted(primes, specs, jobs, cache)
 
 
 def class_census(
@@ -150,15 +125,15 @@ def class_census(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-) -> list[CensusRow]:
+) -> list[CacheRecord]:
     """Histogram rows for the given primes, all of which must match key."""
-    mismatched = [p for p in primes if classify(p, cache=cache).key != key]
+    specs = _classified(primes, cache)
+    mismatched = [p for p in primes if specs[p].key != key]
     if mismatched:
         raise ValueError(
             f"primes do not classify to {key}: {', '.join(map(str, mismatched))}"
         )
-    records = batch_records(primes, jobs=jobs, cache=cache)
-    return [CensusRow(rec.p, DigitHistogram(rec.counts)) for rec in records]
+    return _counted(primes, specs, jobs, cache)
 
 
 def census_primes(limit: int) -> list[int]:
@@ -175,18 +150,15 @@ def global_digit_census(
     """Sum of full-period histograms over all primes <= limit (minus 2 and 5).
 
     include_other=False restricts the aggregate to full- and half-length
-    primes for sensitivity analysis.
+    primes for sensitivity analysis; every prime is still computed and cached.
     """
     if limit < 2:
         raise ValueError(f"census limit must be >= 2, got {limit}")
-    primes = census_primes(limit)
-    records = batch_records(primes, jobs=jobs, cache=cache)
     totals = [0] * 10
-    for rec in records:
-        if not include_other and rec.cofactor > 2:
-            continue
-        for d, c in enumerate(rec.counts):
-            totals[d] += c
+    for rec in batch_records(census_primes(limit), jobs=jobs, cache=cache):
+        if include_other or rec.cofactor <= 2:
+            for d, c in enumerate(rec.counts):
+                totals[d] += c
     return DigitHistogram(tuple(totals))
 
 
@@ -216,11 +188,9 @@ def third_digit_parity_scan(
         raise ValueError(f"scan limit must be >= 100, got {limit}")
     seen: dict[tuple[int, int], set[str]] = {}
     counts: dict[tuple[int, int], int] = {}
-    for p in census_primes(limit):
-        if p < 100:
-            continue
-        profile = classify(p, cache=cache)
-        if profile.key.length_class != HALF:
+    primes = [p for p in census_primes(limit) if p >= 100]
+    for p, spec in _classified(primes, cache).items():
+        if spec.cofactor != 2:
             continue
         cell = (p % 10, (p // 10) % 10)
         parity = EVEN if (p // 100) % 2 == 0 else ODD

@@ -13,10 +13,8 @@ import os
 import sys
 
 from .census import (
-    CensusRow,
     ClassKey,
     ParityScanReport,
-    PrimeProfile,
     batch_records,
     census_primes,
     classify,
@@ -25,7 +23,7 @@ from .census import (
 )
 from .invariants import VerificationSummary, verify_range
 from .sequence import DigitHistogram, ReciprocalSpec, digit_prefix
-from .store import CacheCorruptionError, ResultCache
+from .store import CacheCorruptionError, CacheRecord, ResultCache
 from .tables import table_rows
 
 __all__ = ["main", "run"]
@@ -45,11 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _add_run_options(p: argparse.ArgumentParser, *, full_range: bool = False) -> None:
     p.add_argument("--cache", metavar="PATH",
                    help=f"cache file (default ${CACHE_ENV} or {DEFAULT_CACHE})")
     p.add_argument("--no-cache", action="store_true", help="disable the cache")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_positive, default=1, metavar="N",
                    help="worker processes (default 1)")
     if full_range:
         p.add_argument("--full-range", action="store_true",
@@ -159,12 +167,6 @@ def _open_cache(args):
         yield cache
 
 
-def _jobs(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError("dseq: --jobs must be >= 1")
-    return args.jobs
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -175,19 +177,19 @@ def _json_dump(obj) -> str:
 
 # ---------------------------------------------------------------- renderers
 
-def _rows_csv(rows: list[CensusRow]) -> str:
+def _rows_csv(rows: list[CacheRecord]) -> str:
     lines = ["prime,c0,c1,c2,c3,c4,c5,c6,c7,c8,c9"]
     for row in rows:
-        lines.append(",".join([str(row.p)] + [str(c) for c in row.histogram.counts]))
+        lines.append(",".join([str(row.p)] + [str(c) for c in row.counts]))
     return "\n".join(lines) + "\n"
 
 
-def _rows_json(limit, key: ClassKey, rows: list[CensusRow]) -> str:
+def _rows_json(limit, key: ClassKey, rows: list[CacheRecord]) -> str:
     return _json_dump({
         "limit": limit,
         "key": {"lsd": key.lsd, "second_parity": key.second_parity,
                 "length_class": key.length_class},
-        "rows": [{"prime": r.p, "counts": list(r.histogram.counts)} for r in rows],
+        "rows": [{"prime": r.p, "counts": list(r.counts)} for r in rows],
     })
 
 
@@ -290,7 +292,7 @@ def _verify_json(summary: VerificationSummary) -> str:
                        "violations": violations})
 
 
-def _profile_csv(prof: PrimeProfile) -> str:
+def _profile_csv(prof: ReciprocalSpec) -> str:
     return (
         "p,l,period,k,lsd,second_parity,length_class\n"
         f"{prof.p},{prof.l},{prof.period},{prof.cofactor},"
@@ -298,7 +300,7 @@ def _profile_csv(prof: PrimeProfile) -> str:
     )
 
 
-def _profile_json(prof: PrimeProfile) -> str:
+def _profile_json(prof: ReciprocalSpec) -> str:
     return _json_dump({
         "p": prof.p,
         "l": prof.l,
@@ -347,7 +349,7 @@ def _cmd_digits(args) -> int:
 
 def _cmd_tables(args) -> int:
     with _open_cache(args) as cache:
-        rows = table_rows(args.number, jobs=_jobs(args), cache=cache)
+        rows = table_rows(args.number, jobs=args.jobs, cache=cache)
     _emit(_rows_csv(rows))
     return 0
 
@@ -364,7 +366,7 @@ def _cmd_figure(args) -> int:
     include_other = not args.full_half_only
     with _open_cache(args) as cache:
         hist = global_digit_census(limit, include_other=include_other,
-                                   jobs=_jobs(args), cache=cache)
+                                   jobs=args.jobs, cache=cache)
     if fmt == "csv":
         _emit(_figure_csv(hist))
     elif fmt == "json":
@@ -377,7 +379,7 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     limit, fmt = _resolve_limit_format(args)
     with _open_cache(args) as cache:
-        summary = verify_range(limit, jobs=_jobs(args), cache=cache)
+        summary = verify_range(limit, jobs=args.jobs, cache=cache)
     _emit(_verify_csv(summary) if fmt == "csv" else _verify_json(summary))
     return 2 if summary.hard_failures else 0
 
@@ -394,12 +396,8 @@ def _cmd_census(args) -> int:
     limit, fmt = _resolve_limit_format(args)
     key = ClassKey(args.lsd, args.parity, args.length)
     with _open_cache(args) as cache:
-        selected = [
-            p for p in census_primes(limit)
-            if classify(p, cache=cache).key == key
-        ]
-        records = batch_records(selected, jobs=_jobs(args), cache=cache)
-    rows = [CensusRow(r.p, DigitHistogram(r.counts)) for r in records]
+        rows = batch_records(census_primes(limit), jobs=args.jobs, cache=cache,
+                             keep=lambda spec: spec.key == key)
     _emit(_rows_csv(rows) if fmt == "csv" else _rows_json(limit, key, rows))
     return 0
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .census import FULL, HALF, PrimeProfile, batch_records, census_primes, classify
-from .sequence import DigitHistogram
+from .census import batch_records, census_primes
+from .sequence import FULL, HALF, DigitHistogram, ReciprocalSpec
 from .store import ResultCache
 
 __all__ = [
@@ -230,9 +230,9 @@ RULES: dict[str, tuple[SubCheck, ...]] = {
 }
 
 
-def applicable_rule(profile: PrimeProfile) -> str | None:
-    """Rule id for a full- or half-length profile, None for the rest."""
-    key = profile.key
+def applicable_rule(spec: ReciprocalSpec) -> str | None:
+    """Rule id for a full- or half-length prime, None for the rest."""
+    key = spec.key
     if key.length_class == FULL:
         return f"FL{key.lsd}"
     if key.length_class == HALF:
@@ -252,14 +252,14 @@ class RuleReport:
     details: tuple[str, ...]
 
 
-def check_histogram(profile: PrimeProfile, hist: DigitHistogram) -> RuleReport:
-    """Evaluate the applicable rule on a full-period histogram of profile.p."""
-    rule = applicable_rule(profile)
+def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
+    """Evaluate the applicable rule on a full-period histogram of spec.p."""
+    rule = applicable_rule(spec)
     if rule is None:
         raise ValueError(
-            f"no rule applies to {profile.p} (cofactor {profile.cofactor})"
+            f"no rule applies to {spec.p} (cofactor {spec.cofactor})"
         )
-    p, m, f = profile.p, profile.p // 10, hist.counts
+    p, m, f = spec.p, spec.p // 10, hist.counts
     hard = strong = True
     soft: dict[str, bool] = {}
     details: list[str] = []
@@ -313,16 +313,12 @@ def verify_range(
     cache: ResultCache | None = None,
 ) -> VerificationSummary:
     """Check every full- and half-length prime <= limit against its rule."""
-    profiles = [
-        prof
-        for p in census_primes(limit)
-        if (prof := classify(p, cache=cache)).cofactor in (1, 2)
-    ]
-    records = batch_records([prof.p for prof in profiles], jobs=jobs, cache=cache)
+    records = batch_records(census_primes(limit), jobs=jobs, cache=cache,
+                            keep=lambda spec: spec.cofactor in (1, 2))
     stats = {rule: RuleStats() for rule in RULE_IDS}
     violations: list[RuleReport] = []
-    for prof, rec in zip(profiles, records):
-        report = check_histogram(prof, DigitHistogram(rec.counts))
+    for rec in records:
+        report = check_histogram(rec, DigitHistogram(rec.counts))
         st = stats[report.rule]
         st.checked += 1
         st.hard_failures += not report.hard_passed

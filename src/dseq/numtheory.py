@@ -19,7 +19,6 @@ __all__ = [
     "Factorization",
     "sieve_primes",
     "is_prime",
-    "pow_mod",
     "factorize",
     "multiplicative_order",
 ]
@@ -93,15 +92,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def pow_mod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, in [0, modulus)."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    if base < 0 or exp < 0:
-        raise ValueError("base and exp must be nonnegative")
-    return pow(base, exp, modulus)
-
-
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by wheel trial division (fine up to ~10^12)."""
     if n < 1:
@@ -129,27 +119,18 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, factors)
 
 
-def _totient(m: int) -> int:
-    phi = 1
-    for p, e in factorize(m).factors.items():
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
 def multiplicative_order(a: int, m: int) -> int:
-    """Smallest T >= 1 with a**T == 1 (mod m).
+    """Smallest T >= 1 with a**T == 1 (mod m), for a prime modulus m.
 
-    The group order (m-1 for prime m, Euler phi otherwise) is factored and
-    its prime factors are stripped while the power stays 1; no brute-force
-    iteration, so large moduli stay cheap.
+    The group order m-1 is factored and its prime factors are stripped while
+    the power stays 1; no brute-force iteration, so large moduli stay cheap.
     """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if math.gcd(a, m) != 1:
+    if not is_prime(m):
+        raise ValueError(f"modulus must be prime, got {m}")
+    if a % m == 0:
         raise ValueError(f"{a} is not invertible mod {m}")
-    group = m - 1 if is_prime(m) else _totient(m)
-    t = group
-    for q in factorize(group).factors:
+    t = m - 1
+    for q in factorize(t).factors:
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
     return t

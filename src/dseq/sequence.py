@@ -26,12 +26,17 @@ from typing import Iterator
 from .numtheory import is_prime, multiplicative_order
 
 __all__ = [
+    "EVEN",
+    "ODD",
+    "FULL",
+    "HALF",
+    "OTHER",
     "PRIME_CAP",
+    "ClassKey",
     "ReciprocalSpec",
     "DigitHistogram",
     "l_multiplier",
     "digit_at",
-    "digit_stream",
     "digit_prefix",
     "long_division_digits",
     "histogram",
@@ -43,6 +48,12 @@ PRIME_CAP = 2**31 - 1
 
 # l by last digit of p: the unique digit with l*p = 9 (mod 10).
 _L_FOR_LSD = {1: 9, 3: 3, 7: 7, 9: 1}
+
+EVEN = "even"
+ODD = "odd"
+FULL = "full"
+HALF = "half"
+OTHER = "other"
 
 # Residues advanced together by the counting kernel.  Fewer lanes take more
 # steps; 2**13 measured faster than 2**12 or 2**15 for primes below 1e6.
@@ -65,20 +76,51 @@ def l_multiplier(p: int) -> int:
 
 
 @dataclass(frozen=True)
+class ClassKey:
+    """(last digit, tens-digit parity, length class) of a prime."""
+
+    lsd: int
+    second_parity: str
+    length_class: str
+
+    def __post_init__(self) -> None:
+        if self.lsd not in (1, 3, 7, 9):
+            raise ValueError(f"last digit must be 1, 3, 7 or 9, got {self.lsd}")
+        if self.second_parity not in (EVEN, ODD):
+            raise ValueError(f"bad parity {self.second_parity!r}")
+        if self.length_class not in (FULL, HALF, OTHER):
+            raise ValueError(f"bad length class {self.length_class!r}")
+
+
+@dataclass(frozen=True)
 class ReciprocalSpec:
-    """A prime p with its multiplier digit l and period T = ord_p(10)."""
+    """A prime p with its multiplier digit l and period T = ord_p(10).
+
+    The cofactor k = (p-1)/T and the class key are derived: k is 1 for a
+    full-length prime, 2 for a half-length one.
+    """
 
     p: int
     l: int
     period: int
 
     def __post_init__(self) -> None:
-        if self.p in (2, 5) or self.p > PRIME_CAP:
-            raise ValueError(f"unsupported prime {self.p}")
-        if self.l * self.p % 10 != 9:
+        if self.p > PRIME_CAP:
+            raise ValueError(f"{self.p} exceeds the supported cap {PRIME_CAP}")
+        if _L_FOR_LSD.get(self.p % 10) != self.l:
             raise ValueError(f"l={self.l} does not invert -{self.p} mod 10")
         if self.period < 1 or (self.p - 1) % self.period != 0:
             raise ValueError(f"period {self.period} does not divide {self.p} - 1")
+
+    @property
+    def cofactor(self) -> int:
+        return (self.p - 1) // self.period
+
+    @property
+    def key(self) -> ClassKey:
+        k = self.cofactor
+        return ClassKey(self.p % 10, EVEN if (self.p // 10) % 2 == 0 else ODD,
+                        FULL if k == 1 else HALF if k == 2 else OTHER)
 
     @classmethod
     def for_prime(cls, p: int) -> "ReciprocalSpec":
@@ -112,11 +154,6 @@ def digit_at(spec: ReciprocalSpec, i: int) -> int:
     if i < 1:
         raise ValueError(f"digit index must be >= 1, got {i}")
     return spec.l * pow(10, i, spec.p) % 10
-
-
-def digit_stream(spec: ReciprocalSpec) -> Iterator[int]:
-    """One full period of digits, i = 1..T."""
-    yield from digit_prefix(spec, spec.period)
 
 
 def digit_prefix(spec: ReciprocalSpec, n: int) -> Iterator[int]:

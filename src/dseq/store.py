@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .numtheory import is_prime
-from .sequence import _L_FOR_LSD, PRIME_CAP
+from .sequence import ReciprocalSpec
 
 __all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache"]
 
@@ -30,16 +30,17 @@ class CacheCorruptionError(Exception):
 
 
 @dataclass(frozen=True)
-class CacheRecord:
-    """One cached result: prime, multiplier, period, cofactor, digit counts."""
+class CacheRecord(ReciprocalSpec):
+    """A spec with the digit counts of its period: one line of the cache.
 
-    p: int
-    l: int
-    period: int
-    cofactor: int
+    The line also stores the cofactor (p-1)/period, which ``from_line``
+    checks against the one the spec derives.
+    """
+
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if len(self.counts) != 10 or min(self.counts) < 0:
             raise ValueError(f"record for {self.p}: need 10 nonnegative counts")
         if sum(self.counts) != self.period:
@@ -47,12 +48,6 @@ class CacheRecord:
                 f"record for {self.p}: counts sum to {sum(self.counts)}, "
                 f"period is {self.period}"
             )
-        if self.cofactor < 1 or self.cofactor * self.period != self.p - 1:
-            raise ValueError(f"record for {self.p}: cofactor*period != p-1")
-        if _L_FOR_LSD.get(self.p % 10) != self.l:
-            raise ValueError(f"record for {self.p}: wrong multiplier {self.l}")
-        if self.p > PRIME_CAP:
-            raise ValueError(f"record for {self.p}: exceeds the supported cap {PRIME_CAP}")
         if not is_prime(self.p):
             raise ValueError(f"record for {self.p}: not prime")
 
@@ -66,8 +61,11 @@ class CacheRecord:
         parts = line.split(",")
         if len(parts) != 14:
             raise ValueError(f"expected 14 fields, got {len(parts)}")
-        vals = list(map(int, parts))
-        return cls(vals[0], vals[1], vals[2], vals[3], tuple(vals[4:]))
+        p, l, period, cofactor, *counts = map(int, parts)
+        rec = cls(p, l, period, tuple(counts))
+        if cofactor != rec.cofactor:
+            raise ValueError(f"record for {p}: cofactor*period != p-1")
+        return rec
 
 
 class ResultCache:
@@ -92,8 +90,12 @@ class ResultCache:
         with open(self.path, "rb") as fh:
             data = fh.read()
         end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        try:
+            text = data[:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CacheCorruptionError(f"{self.path}: not UTF-8 text: {exc}") from exc
         # universal newlines, as text mode would read them
-        text = data[:end].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
         lines = text.split("\n")[:-1]
         if end < len(data):
             # no trailing newline: an interrupted writer left a partial line
@@ -136,7 +138,7 @@ class ResultCache:
         return self._records.get(p)
 
     def append(self, record: CacheRecord) -> None:
-        """Durably add a record; identical re-appends are no-ops."""
+        """Add a record and flush it to the OS (no fsync); identical re-appends are no-ops."""
         self.append_many([record])
 
     def append_many(self, records: Iterable[CacheRecord]) -> None:

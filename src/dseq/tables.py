@@ -7,8 +7,8 @@ always recomputed.
 """
 from __future__ import annotations
 
-from .census import EVEN, HALF, ODD, CensusRow, ClassKey, class_census
-from .store import ResultCache
+from .census import EVEN, HALF, ODD, ClassKey, class_census
+from .store import CacheRecord, ResultCache
 
 __all__ = ["TABLE_KEYS", "TABLE_PRIMES", "table_rows"]
 
@@ -88,7 +88,7 @@ def table_rows(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-) -> list[CensusRow]:
+) -> list[CacheRecord]:
     """Recomputed digit-frequency rows of panel `number` (1-8), in panel order."""
     if number not in TABLE_PRIMES:
         raise ValueError(f"table number must be 1..8, got {number}")

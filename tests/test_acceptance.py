@@ -41,7 +41,7 @@ def test_criterion_1_table_reproduction(session_cache, capsys):
     mismatched = []
     for n in range(1, 9):
         rows = table_rows(n, cache=session_cache)
-        if [(r.p, r.histogram.counts) for r in rows] != golden_rows(n):
+        if [(r.p, r.counts) for r in rows] != golden_rows(n):
             mismatched.append(n)
     elapsed = time.perf_counter() - t0
     ok = not mismatched and elapsed < 60

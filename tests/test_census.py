@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +19,11 @@ from dseq.census import (
     global_digit_census,
     third_digit_parity_scan,
 )
-from dseq.numtheory import sieve_primes
+from dseq.cli import main
+from dseq.invariants import verify_range
+from dseq.numtheory import multiplicative_order
 from dseq.sequence import DigitHistogram, ReciprocalSpec, histogram
+from dseq.tables import table_rows
 
 from conftest import golden_rows
 
@@ -121,10 +127,32 @@ def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
     assert recs == batch_records(primes)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: verify_range(2000),
+    lambda: main(["census", "2000", "--lsd", "7", "--parity", "odd", "--length", "half",
+                  "--no-cache"]),
+    lambda: table_rows(1),
+], ids=["verify_range", "census", "table_rows"])
+def test_each_order_computed_once(monkeypatch, capsys, run):
+    # a miss is classified once; the counting stage reuses its period
+    orders = Counter()
+
+    def counted(a, m):
+        orders[m] += 1
+        return multiplicative_order(a, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dseq") and getattr(module, "multiplicative_order", None) \
+                is multiplicative_order:
+            monkeypatch.setattr(module, "multiplicative_order", counted)
+    run()
+    assert orders and max(orders.values()) == 1
+
+
 def test_class_census_matches_golden_rows(session_cache):
     rows = class_census([601, 3001], ClassKey(1, EVEN, HALF), cache=session_cache)
     expected = golden_rows(1)[:2]
-    assert [(r.p, r.histogram.counts) for r in rows] == expected
+    assert [(r.p, r.counts) for r in rows] == expected
 
 
 def test_class_census_rejects_mismatch():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dseq.census import ODD, OTHER, ClassKey, census_primes, classify
 from dseq.cli import main
 from dseq.invariants import RuleReport, RuleStats, VerificationSummary
 from dseq.sequence import long_division_digits
@@ -229,8 +230,34 @@ def test_full_range_conflicts_with_limit(capsys):
     assert code == 1
 
 
-def test_jobs_must_be_positive(capsys):
-    assert run_cli(capsys, "verify", "100", "--jobs", "0", "--no-cache")[0] == 1
+@pytest.mark.parametrize("argv", [
+    ["profile", "601"],
+    ["scan-parity", "1000"],
+    ["tables", "1"],
+    ["figure", "100"],
+    ["verify", "100"],
+    ["census", "100", "--lsd", "1", "--parity", "even", "--length", "half"],
+], ids=lambda argv: argv[0])
+def test_jobs_must_be_positive(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--jobs", "0", "--no-cache")
+    assert code == 1
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize("argv, appended", [
+    (["verify", "2000"], lambda spec: spec.cofactor in (1, 2)),
+    (["census", "2000", "--lsd", "3", "--parity", "odd", "--length", "other"],
+     lambda spec: spec.key == ClassKey(3, ODD, OTHER)),
+    (["figure", "2000", "--full-half-only"], lambda spec: True),
+    (["scan-parity", "2000"], lambda spec: False),
+    (["profile", "601"], lambda spec: False),
+], ids=["verify", "census", "figure", "scan-parity", "profile"])
+def test_commands_append_only_what_they_count(capsys, tmp_path, argv, appended):
+    path = tmp_path / "c.csv"
+    assert run_cli(capsys, *argv, "--cache", str(path))[0] == 0
+    lines = path.read_text().splitlines()[1:] if path.exists() else []
+    expected = [spec.p for spec in map(classify, census_primes(2000)) if appended(spec)]
+    assert [int(line.split(",")[0]) for line in lines] == expected
 
 
 def test_default_cache_file_created(capsys, isolated_cwd):
@@ -257,10 +284,11 @@ def test_cache_flag_overrides_env(capsys, isolated_cwd, monkeypatch):
 
 def test_corrupt_cache_exit_three(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("wrong-header\n")
-    code, _, err = run_cli(capsys, "profile", "601", "--cache", str(bad))
-    assert code == 3
-    assert "cache corruption" in err
+    for content in (b"wrong-header\n", b"\xff\xfe\n"):  # the second is not UTF-8
+        bad.write_bytes(content)
+        code, _, err = run_cli(capsys, "profile", "601", "--cache", str(bad))
+        assert code == 3
+        assert "cache corruption" in err and "bad.csv" in err
 
 
 def test_unknown_command_is_usage_error(capsys):

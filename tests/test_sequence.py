@@ -11,7 +11,6 @@ from dseq.sequence import (
     ReciprocalSpec,
     digit_at,
     digit_prefix,
-    digit_stream,
     histogram,
     l_multiplier,
     long_division_digits,
@@ -58,9 +57,10 @@ def test_spec_validates_fields():
 
 
 def test_digit_stream_examples():
-    assert list(digit_stream(ReciprocalSpec.for_prime(7))) == [1, 4, 2, 8, 5, 7]
-    assert list(digit_stream(ReciprocalSpec.for_prime(3))) == [3]
-    assert list(digit_stream(ReciprocalSpec.for_prime(13))) == [0, 7, 6, 9, 2, 3]
+    # one period of digits is the prefix of length T
+    for p, digits in [(7, [1, 4, 2, 8, 5, 7]), (3, [3]), (13, [0, 7, 6, 9, 2, 3])]:
+        spec = ReciprocalSpec.for_prime(p)
+        assert list(digit_prefix(spec, spec.period)) == digits
 
 
 def test_digit_at_examples():
@@ -103,7 +103,7 @@ def test_histogram_paths_agree():
 
 
 def _counted(spec):
-    c = Counter(digit_stream(spec))
+    c = Counter(digit_prefix(spec, spec.period))
     return tuple(c.get(d, 0) for d in range(10))
 
 

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dseq.numtheory import sieve_primes
-from dseq.sequence import ReciprocalSpec, _full_length_counts, histogram
+from dseq.sequence import EVEN, HALF, ClassKey, ReciprocalSpec, _full_length_counts, histogram
 from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
 
 
 def _record(p: int) -> CacheRecord:
     spec = ReciprocalSpec.for_prime(p)
-    return CacheRecord(p, spec.l, spec.period, (p - 1) // spec.period,
-                       histogram(spec).counts)
+    return CacheRecord(p, spec.l, spec.period, histogram(spec).counts)
 
 
 REC_601 = _record(601)
@@ -21,17 +20,20 @@ REC_7 = _record(7)
 
 def test_record_validates():
     assert REC_601.counts == (35, 28, 28, 31, 28, 28, 31, 28, 28, 35)
+    assert (REC_601.cofactor, REC_601.key) == (2, ClassKey(1, EVEN, HALF))
     with pytest.raises(ValueError):  # counts sum != period
-        CacheRecord(601, 9, 300, 2, (34, 28, 28, 31, 28, 28, 31, 28, 28, 35))
-    with pytest.raises(ValueError):  # cofactor * period != p - 1
-        CacheRecord(601, 9, 300, 3, REC_601.counts)
+        CacheRecord(601, 9, 300, (34, 28, 28, 31, 28, 28, 31, 28, 28, 35))
+    with pytest.raises(ValueError):  # period does not divide p - 1
+        CacheRecord(601, 9, 7, (1, 1, 1, 1, 1, 1, 1, 0, 0, 0))
+    with pytest.raises(ValueError):  # the stored cofactor disagrees: 3 * 300 != 600
+        CacheRecord.from_line("601,9,300,3,35,28,28,31,28,28,31,28,28,35")
     with pytest.raises(ValueError):  # wrong multiplier for a prime ending in 1
-        CacheRecord(601, 3, 300, 2, REC_601.counts)
+        CacheRecord(601, 3, 300, REC_601.counts)
     with pytest.raises(ValueError):  # not prime
-        CacheRecord(91, 9, 6, 15, (2, 1, 0, 1, 0, 1, 0, 1, 0, 0))
+        CacheRecord(91, 9, 6, (2, 1, 0, 1, 0, 1, 0, 1, 0, 0))
     big = 2147483659  # the least prime above PRIME_CAP, as a consistent full-length record
     with pytest.raises(ValueError, match="exceeds the supported cap"):
-        CacheRecord(big, 1, big - 1, 1, _full_length_counts(big))
+        CacheRecord(big, 1, big - 1, _full_length_counts(big))
 
 
 def test_line_round_trip():
@@ -72,7 +74,7 @@ def test_append_is_idempotent(tmp_path):
 
 
 def test_conflicting_append_rejected(tmp_path):
-    other = CacheRecord(601, 9, 300, 2, (36, 27, 28, 31, 28, 28, 31, 28, 28, 35))
+    other = CacheRecord(601, 9, 300, (36, 27, 28, 31, 28, 28, 31, 28, 28, 35))
     with ResultCache(tmp_path / "c.csv") as cache:
         cache.append(REC_601)
         with pytest.raises(CacheCorruptionError):

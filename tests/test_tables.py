@@ -30,7 +30,7 @@ def test_table_rows_validates_number():
 
 def test_table_1_matches_golden(session_cache):
     rows = table_rows(1, cache=session_cache)
-    assert [(r.p, r.histogram.counts) for r in rows] == golden_rows(1)
+    assert [(r.p, r.counts) for r in rows] == golden_rows(1)
 
 
 def test_golden_files_cover_fixture_primes():
