@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "Factorization",
+    "prime_mask",
     "sieve_primes",
     "is_prime",
     "factorize",
@@ -51,16 +52,20 @@ class Factorization:
             raise ValueError(f"factors multiply to {prod}, not {self.n}")
 
 
+def prime_mask(limit: int) -> bytearray:
+    """Sieve of Eratosthenes: byte n is 1 exactly when n is prime, 0 <= n <= limit (>= 1)."""
+    mask = bytearray(2) + bytearray([1]) * (limit - 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return mask
+
+
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending. Empty for limit < 2."""
     if limit < 2:
         return []
-    mask = bytearray([1]) * (limit + 1)
-    mask[:2] = b"\0\0"
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = bytes((limit - p * p) // p + 1)
-    return list(itertools.compress(range(limit + 1), mask))
+    return list(itertools.compress(range(limit + 1), prime_mask(limit)))
 
 
 def is_prime(n: int) -> bool:
@@ -126,7 +131,7 @@ def multiplicative_order(a: int, m: int) -> int:
     the power stays 1; no brute-force iteration, so large moduli stay cheap.
     """
     if not is_prime(m):
-        raise ValueError(f"modulus must be prime, got {m}")
+        raise ValueError(f"{m} is not prime")
     if a % m == 0:
         raise ValueError(f"{a} is not invertible mod {m}")
     t = m - 1

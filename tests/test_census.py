@@ -101,6 +101,8 @@ def test_batch_records_orders_and_caches(tmp_path):
     (64, 4, [7], None),  # one prime: no pool
 ])
 def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
+    import multiprocessing  # census imports it only to start a pool
+
     import dseq.census
 
     asked = []
@@ -121,7 +123,7 @@ def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(dseq.census.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(dseq.census.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     recs = batch_records(primes, jobs=jobs)
     assert asked == ([] if size is None else [size])
     assert recs == batch_records(primes)

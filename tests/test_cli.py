@@ -291,13 +291,24 @@ def test_corrupt_cache_exit_three(capsys, tmp_path):
         assert "cache corruption" in err and "bad.csv" in err
 
 
+def test_cache_record_contradicting_mirror_lemma_exit_three(capsys, tmp_path):
+    # 601 has period 300; swapping the counts of digits 0 and 1 keeps every
+    # field consistent but breaks f(d) = f(9-d), so the row is never served
+    path = tmp_path / "swapped.csv"
+    path.write_text(f"{CACHE_HEADER}\n7,7,6,1,0,1,1,0,1,1,0,1,1,0\n"
+                    "601,9,300,2,28,35,28,31,28,28,31,28,28,35\n")
+    code, out, err = run_cli(capsys, "tables", "1", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert "swapped.csv:3: record for 601" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys)[0] == 1
 
 
 # Runs cache-served commands in a fresh interpreter; prints their stdout and
-# whether numpy got imported.
+# whether numpy and multiprocessing got imported.
 _NUMPY_FREE = """
 import contextlib, io, json, sys
 from dseq.cli import main
@@ -307,7 +318,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     outs.append([code, buf.getvalue()])
-print(json.dumps({"numpy": "numpy" in sys.modules, "outs": outs}))
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules, "outs": outs}))
 """
 
 
@@ -323,4 +335,5 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
                            check=True, env=env, capture_output=True, text=True)
     result = json.loads(child.stdout)
     assert result["numpy"] is False
+    assert result["multiprocessing"] is False
     assert result["outs"] == [list(run_cli(capsys, *argv)[:2]) for argv in commands]

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseq.numtheory import sieve_primes
+from dseq import store
+from dseq.census import batch_records, census_primes
+from dseq.numtheory import prime_mask, sieve_primes
 from dseq.sequence import EVEN, HALF, ClassKey, ReciprocalSpec, _full_length_counts, histogram
 from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
 
@@ -160,3 +162,109 @@ def test_many_records_round_trip(tmp_path_factory, primes):
         assert len(cache) == len(primes)
         for rec in records:
             assert cache.lookup(rec.p) == rec
+
+
+# ------------------------------------------------------------- bulk load
+
+@pytest.fixture(scope="module")
+def lines_to_2e4(tmp_path_factory):
+    """The record lines of a cache built to 2e4, as dseq writes it."""
+    path = tmp_path_factory.mktemp("bulk") / "c.csv"
+    with ResultCache(path) as cache:
+        batch_records(census_primes(20_000), cache=cache)
+    lines = path.read_text().splitlines()
+    assert lines[0] == CACHE_HEADER and len(lines) == 2261
+    return lines[1:]
+
+
+def _write_cache(path, lines, newline="\n"):
+    path.write_bytes("".join(f"{x}{newline}" for x in [CACHE_HEADER, *lines]).encode())
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_bulk_load_equals_from_line(tmp_path, monkeypatch, lines_to_2e4, newline):
+    path = tmp_path / "c.csv"
+    _write_cache(path, lines_to_2e4, newline)
+
+    def unexpected(*args):
+        raise AssertionError("a valid cache took the line-by-line path or Miller-Rabin")
+
+    # every block passes the column checks; primality comes from the sieve
+    with monkeypatch.context() as patched:
+        patched.setattr(store, "_line_record", unexpected)
+        patched.setattr(store, "is_prime", unexpected)
+        cache = ResultCache(path)
+    assert len(cache) == len(lines_to_2e4)
+    for line in lines_to_2e4:
+        expected = CacheRecord.from_line(line)
+        loaded = cache.lookup(expected.p)
+        assert loaded == expected and type(loaded) is CacheRecord
+        assert loaded.to_line() == line and loaded.key == expected.key
+
+
+def _corruptions(value: int):
+    """Texts for one field holding value that the loader must refuse."""
+    return st.one_of(
+        st.integers(-10**6, 10**7).filter(lambda v: v != value).map(str),
+        st.sampled_from([f"+{value}", f"0{value}", f"{value}.0", f"{value} {value}",
+                         "", "x", "[1]", f'"{value}"']),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_corrupted_field_is_refused_at_its_line(tmp_path_factory, lines_to_2e4, data):
+    i = data.draw(st.integers(0, len(lines_to_2e4) - 1), label="record")
+    fields = lines_to_2e4[i].split(",")
+    j = data.draw(st.integers(0, 13), label="field")
+    fields[j] = data.draw(_corruptions(int(fields[j])), label="text")
+    lines = list(lines_to_2e4)
+    lines[i] = ",".join(fields)
+    path = tmp_path_factory.mktemp("bad") / "c.csv"
+    _write_cache(path, lines)
+    with pytest.raises(CacheCorruptionError, match=f"c.csv:{i + 2}: "):
+        ResultCache(path)
+
+
+def test_prime_near_cap_loads_without_a_sieve_of_its_size(tmp_path, monkeypatch):
+    p = 2147483629  # the largest full-length prime not above PRIME_CAP
+    rec = CacheRecord(p, 1, p - 1, _full_length_counts(p))
+    path = tmp_path / "c.csv"
+    _write_cache(path, [REC_7.to_line(), rec.to_line()])
+    sieved = []
+
+    def recorded(limit):
+        sieved.append(limit)
+        return prime_mask(limit)
+
+    monkeypatch.setattr(store, "prime_mask", recorded)
+    with ResultCache(path) as cache:
+        assert cache.lookup(p) == rec and cache.lookup(7) == REC_7
+    assert sieved and max(sieved) <= store._SIEVE_BOUND
+
+
+@pytest.mark.parametrize("field", ["+35", "035", "3_5"])
+def test_fields_only_int_reads_are_refused(tmp_path, field):
+    line = REC_601.to_line().replace(",35,", f",{field},", 1)
+    assert CacheRecord.from_line(line) == REC_601  # int() reads it
+    path = tmp_path / "c.csv"
+    _write_cache(path, [REC_7.to_line(), line])
+    with pytest.raises(CacheCorruptionError, match="c.csv:3: .*plain decimal integer"):
+        ResultCache(path)
+
+
+@pytest.mark.parametrize("line, lemma", [
+    # 601 (period 300, even) with the counts of 0 and 1 swapped
+    ("601,9,300,2,28,35,28,31,28,28,31,28,28,35", "not mirrored"),
+    # 7 (full length): mirrored and summing to 6, but not N_7
+    ("7,7,6,1,1,0,1,0,1,1,0,1,0,1", "not N_p"),
+    # 31 (period 15 = 30/2, odd): one count moved from digit 2 to 3
+    ("31,9,15,2,2,2,2,2,1,2,2,0,1,1", "do not complement"),
+], ids=["mirror", "full_length", "complement"])
+def test_record_contradicting_a_lemma_is_refused_at_load(tmp_path, line, lemma):
+    rec = CacheRecord.from_line(line)  # consistent: the record type itself accepts it
+    assert _record(rec.p) != rec
+    path = tmp_path / "c.csv"
+    _write_cache(path, [REC_7.to_line(), _record(13).to_line(), line])
+    with pytest.raises(CacheCorruptionError, match=f"c.csv:4: record for {rec.p}: .*{lemma}"):
+        ResultCache(path)
