@@ -45,7 +45,6 @@ from .sequence import (
     PRIME_CAP,
     DigitHistogram,
     ReciprocalSpec,
-    digit_at,
     digit_prefix,
     histogram,
     l_multiplier,
@@ -87,7 +86,6 @@ __all__ = [
     "check_histogram",
     "class_census",
     "classify",
-    "digit_at",
     "digit_prefix",
     "factorize",
     "global_digit_census",

@@ -69,8 +69,8 @@ def _classified(
     return specs
 
 
-def _count(spec: ReciprocalSpec) -> CacheRecord:
-    return CacheRecord(spec.p, spec.l, spec.period, histogram(spec).counts)
+def _count(spec: ReciprocalSpec) -> tuple[int, ...]:
+    return histogram(spec).counts
 
 
 def _counted(
@@ -94,9 +94,10 @@ def _counted(
             import numpy  # noqa: F401
 
             with multiprocessing.Pool(workers) as pool:
-                computed = pool.map(_count, todo, chunksize=chunk)
+                counts = pool.map(_count, todo, chunksize=chunk)
         else:
-            computed = [_count(s) for s in todo]
+            counts = list(map(_count, todo))
+        computed = CacheRecord.batch(todo, counts)  # checked as loading checks them
         for rec in computed:
             specs[rec.p] = rec
         if cache is not None:

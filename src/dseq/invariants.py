@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .census import batch_records, census_primes
-from .sequence import FULL, HALF, DigitHistogram, ReciprocalSpec
+from .sequence import FULL, HALF, DigitHistogram, ReciprocalSpec, _full_length_counts
 from .store import ResultCache
 
 __all__ = [
@@ -70,11 +70,11 @@ Counts = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SubCheck:
-    """One named check; ``run(p, m, f)`` is None when it holds, else the observed detail."""
+    """One named check; ``run(p, f)`` is None when it holds, else the observed detail."""
 
     name: str
     level: str
-    run: Callable[[int, int, Counts], str | None]
+    run: Callable[[int, Counts], str | None]
     extremal: bool = False
 
 
@@ -83,41 +83,43 @@ def _fmt(f: Counts, digits) -> str:
 
 
 def _equal_group(name: str, level: str, digits: tuple[int, ...]) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> str | None:
+    def run(p: int, f: Counts) -> str | None:
         return None if len({f[d] for d in digits}) == 1 else _fmt(f, digits)
 
     return SubCheck(name, level, run)
 
 
-def _comp_sums(name: str, level: str, digits: tuple[int, ...], offset: int) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> str | None:
-        if all(f[d] + f[9 - d] == m + offset for d in digits):
+def _comp_sums(name: str, level: str, digits: tuple[int, ...]) -> SubCheck:
+    """f(d) + f(9-d) = N_p(d) for each d in digits, which share one N_p(d)."""
+    def run(p: int, f: Counts) -> str | None:
+        expected = _full_length_counts(p)[digits[0]]
+        if all(f[d] + f[9 - d] == expected for d in digits):
             return None
         obs = " ".join(f"f({d})+f({9-d})={f[d]+f[9-d]}" for d in digits)
-        return f"{obs} expected {m + offset}"
+        return f"{obs} expected {expected}"
 
     return SubCheck(name, level, run)
 
 
 def _mirror(name: str, level: str) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> str | None:
+    def run(p: int, f: Counts) -> str | None:
         bad = [d for d in range(5) if f[d] != f[9 - d]]
         return _fmt(f, [x for d in bad for x in (d, 9 - d)]) if bad else None
 
     return SubCheck(name, level, run)
 
 
-def _period_total(name: str, offset: int) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> str | None:
+def _period_total(name: str) -> SubCheck:
+    def run(p: int, f: Counts) -> str | None:
         total = sum(f)
-        return None if total == 5 * m + offset else f"total={total} expected {5 * m + offset}"
+        return None if total == (p - 1) // 2 else f"total={total} expected {(p - 1) // 2}"
 
     return SubCheck(name, HARD, run)
 
 
-def _closed_form(name: str, expected_of: Callable[[int], Counts]) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> str | None:
-        expected = expected_of(p)
+def _closed_form(name: str) -> SubCheck:
+    def run(p: int, f: Counts) -> str | None:
+        expected = _full_length_counts(p)
         return None if f == expected else f"counts={f} expected {expected}"
 
     return SubCheck(name, HARD, run)
@@ -129,7 +131,7 @@ def _extreme_set(f: Counts, kind: str) -> set[int]:
 
 
 def _extreme_in(name: str, level: str, kind: str, allowed: tuple[frozenset, ...]) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> str | None:
+    def run(p: int, f: Counts) -> str | None:
         got = _extreme_set(f, kind)
         return None if any(got <= a for a in allowed) else f"{kind} digits {sorted(got)}"
 
@@ -137,18 +139,13 @@ def _extreme_in(name: str, level: str, kind: str, allowed: tuple[frozenset, ...]
 
 
 def _extreme_unique(name: str, level: str, kind: str, digit: int) -> SubCheck:
-    def run(p: int, m: int, f: Counts) -> str | None:
+    def run(p: int, f: Counts) -> str | None:
         got = _extreme_set(f, kind)
         if got == {digit}:
             return None
         return f"{kind} digits {sorted(got)}" + (" (tie)" if len(got) > 1 else "")
 
     return SubCheck(name, level, run, extremal=True)
-
-
-def _fl_counts(p: int, low_digits: tuple[int, ...], shift: int, delta: int) -> Counts:
-    base = (p + shift) // 10
-    return tuple(base + delta if d in low_digits else base for d in range(10))
 
 
 _SIX = (1, 2, 4, 5, 7, 8)
@@ -158,12 +155,9 @@ _GROUPS_09_SIX = (frozenset({0, 9}), frozenset(_SIX))
 _GROUPS_36_SIX = (frozenset({3, 6}), frozenset(_SIX))
 
 RULES: dict[str, tuple[SubCheck, ...]] = {
-    "FL1": (_closed_form("closed_form", lambda p: _fl_counts(p, (), -1, 0)),),
-    "FL3": (_closed_form("closed_form", lambda p: _fl_counts(p, (3, 6), -3, 1)),),
-    "FL7": (_closed_form("closed_form", lambda p: _fl_counts(p, (0, 3, 6, 9), 3, -1)),),
-    "FL9": (_closed_form("closed_form", lambda p: _fl_counts(p, (0, 9), 1, -1)),),
+    **{rule: (_closed_form("closed_form"),) for rule in ("FL1", "FL3", "FL7", "FL9")},
     "HL1E": (
-        _period_total("total_5m", 0),
+        _period_total("total_5m"),
         _equal_group("f0_f9", STRONG, (0, 9)),
         _equal_group("f124578", STRONG, _SIX),
         _equal_group("f3_f6", STRONG, (3, 6)),
@@ -171,17 +165,17 @@ RULES: dict[str, tuple[SubCheck, ...]] = {
         _extreme_in("min_group", SOFT, "min", _GROUPS_36_SIX),
     ),
     "HL1O": (
-        _period_total("total_5m", 0),
-        _comp_sums("pair_sums_m", STRONG, (0, 1, 2, 3, 4), 0),
+        _period_total("total_5m"),
+        _comp_sums("pair_sums_m", STRONG, (0, 1, 2, 3, 4)),
         _equal_group("f1_f5_f6", STRONG, (1, 5, 6)),
         _equal_group("f3_f4_f8", STRONG, (3, 4, 8)),
         _extreme_in("max_in_02", STRONG, "max", (frozenset({0, 2}),)),
         _extreme_in("min_in_79", STRONG, "min", (frozenset({7, 9}),)),
     ),
     "HL3E": (
-        _period_total("total_5m_plus_1", 1),
-        _comp_sums("pair_sums_m", STRONG, (0, 1, 2, 4), 0),
-        _comp_sums("pair36_sum_m_plus_1", STRONG, (3,), 1),
+        _period_total("total_5m_plus_1"),
+        _comp_sums("pair_sums_m", STRONG, (0, 1, 2, 4)),
+        _comp_sums("pair36_sum_m_plus_1", STRONG, (3,)),
         _equal_group("f0_f9", STRONG, (0, 9)),
         _equal_group("f1_f4_f7", STRONG, (1, 4, 7)),
         _equal_group("f2_f5_f8", STRONG, (2, 5, 8)),
@@ -189,29 +183,29 @@ RULES: dict[str, tuple[SubCheck, ...]] = {
         _extreme_unique("min_is_6", STRONG, "min", 6),
     ),
     "HL3O": (
-        _period_total("total_5m_plus_1", 1),
+        _period_total("total_5m_plus_1"),
         _mirror("mirror", STRONG),
         _extreme_in("max_pair", SOFT, "max", _PAIRS_SOFT_MAX),
         _extreme_in("min_pair", SOFT, "min", _PAIRS_SOFT_MIN),
     ),
     "HL7E": (
-        _period_total("total_5m_plus_3", 3),
-        _comp_sums("pair09_sum_m", STRONG, (0,), 0),
-        _comp_sums("pair36_sum_m", STRONG, (3,), 0),
-        _comp_sums("pair_sums_m_plus_1", STRONG, (1, 2, 4), 1),
+        _period_total("total_5m_plus_3"),
+        _comp_sums("pair09_sum_m", STRONG, (0,)),
+        _comp_sums("pair36_sum_m", STRONG, (3,)),
+        _comp_sums("pair_sums_m_plus_1", STRONG, (1, 2, 4)),
         _equal_group("f1_f4_f7", STRONG, (1, 4, 7)),
         _equal_group("f2_f5_f8", STRONG, (2, 5, 8)),
         _extreme_unique("max_is_3", STRONG, "max", 3),
         _extreme_unique("min_is_6", STRONG, "min", 6),
     ),
     "HL7O": (
-        _period_total("total_5m_plus_3", 3),
+        _period_total("total_5m_plus_3"),
         _mirror("mirror", STRONG),
         _extreme_in("max_pair", SOFT, "max", _PAIRS_SOFT_MAX),
         _extreme_in("min_pair", SOFT, "min", _PAIRS_SOFT_MIN),
     ),
     "HL9E": (
-        _period_total("total_5m_plus_4", 4),
+        _period_total("total_5m_plus_4"),
         _mirror("mirror", STRONG),
         _equal_group("f1_f2_f4", STRONG, (1, 2, 4)),
         _equal_group("f5_f7_f8", STRONG, (5, 7, 8)),
@@ -219,9 +213,9 @@ RULES: dict[str, tuple[SubCheck, ...]] = {
         _extreme_in("min_group", SOFT, "min", _GROUPS_36_SIX),
     ),
     "HL9O": (
-        _period_total("total_5m_plus_4", 4),
-        _comp_sums("pair09_sum_m", STRONG, (0,), 0),
-        _comp_sums("pair_sums_m_plus_1", STRONG, (1, 2, 3, 4), 1),
+        _period_total("total_5m_plus_4"),
+        _comp_sums("pair09_sum_m", STRONG, (0,)),
+        _comp_sums("pair_sums_m_plus_1", STRONG, (1, 2, 3, 4)),
         _equal_group("f1_f5_f6", STRONG, (1, 5, 6)),
         _equal_group("f3_f4_f8", STRONG, (3, 4, 8)),
         _extreme_in("max_in_02", STRONG, "max", (frozenset({0, 2}),)),
@@ -262,14 +256,14 @@ def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
         raise ValueError(
             f"no rule applies to {spec.p} (cofactor {spec.cofactor})"
         )
-    p, m, f = spec.p, spec.p // 10, hist.counts
+    p, f = spec.p, hist.counts
     hard = strong = True
     soft: dict[str, bool] = {}
     details: list[str] = []
     for chk in RULES[rule]:
         if chk.extremal and p <= _EXTREMES_MIN_P:
             continue
-        failure = chk.run(p, m, f)
+        failure = chk.run(p, f)
         if chk.level == SOFT:
             soft[chk.name] = failure is None
         elif failure is not None:

@@ -36,7 +36,6 @@ __all__ = [
     "ReciprocalSpec",
     "DigitHistogram",
     "l_multiplier",
-    "digit_at",
     "digit_prefix",
     "long_division_digits",
     "histogram",
@@ -155,20 +154,6 @@ class DigitHistogram:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def __add__(self, other: "DigitHistogram") -> "DigitHistogram":
-        return DigitHistogram(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    @classmethod
-    def zero(cls) -> "DigitHistogram":
-        return cls((0,) * 10)
-
-
-def digit_at(spec: ReciprocalSpec, i: int) -> int:
-    """The i-th digit (1-based) of the expansion of 1/p."""
-    if i < 1:
-        raise ValueError(f"digit index must be >= 1, got {i}")
-    return spec.l * pow(10, i, spec.p) % 10
 
 
 def digit_prefix(spec: ReciprocalSpec, n: int) -> Iterator[int]:

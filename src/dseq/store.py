@@ -6,26 +6,24 @@ Runs over overlapping ranges reuse earlier work; disabling the cache must
 never change any output.
 
 A line is ``p,l,T,k,f(0),...,f(9)``: the prime, its multiplier digit, its
-period, the cofactor (p-1)/T and the period's digit counts.  Loading checks
-every line before any command runs, in blocks of about 64 KiB (some 1,100
-lines), each parsed by one ``json.loads`` and checked column by column:
+period, the cofactor (p-1)/T and the period's digit counts.  A line loads
+when it is 14 plain decimal integers (no sign, and no ``+5``, ``05`` or
+``5_0``, which ``int`` would read) and one checker, ``first_broken``,
+passes its fields column by column:
 
-- 14 fields, each a plain decimal integer (JSON grammar, so ``+5``, ``05``
-  and ``5_0`` are refused, although ``int`` would read them);
-- 2 <= p <= PRIME_CAP, and p is prime: one sieve up to the largest cached p
-  answers, and Miller-Rabin only above ``_SIEVE_BOUND``;
-- l is the digit with l*p = 9 (mod 10), T >= 1 and k*T = p - 1;
-- the counts are nonnegative and sum to T;
-- the counts obey the proven lemmas: f = N_p at full length (T = p - 1);
-  f(d) = f(9-d) for an even T (Midy: 10^(T/2) = -1 mod p); and
-  f(d) + f(9-d) = N_p(d) for an odd T = (p-1)/2 (-1 is then not a power of
-  10, so the powers and their negatives are every unit once);
-- a prime listed twice has the same record both times.
+- p <= PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, counts that sum to T, and
+  p prime;
+- the proven lemmas: f = N_p at full length (T = p - 1); f(d) = f(9-d) for
+  an even T (Midy: 10^(T/2) = -1 mod p); and f(d) + f(9-d) = N_p(d) for an
+  odd T = (p-1)/2 (-1 is then not a power of 10, so the powers and their
+  negatives are every unit once).
 
-A block that breaks any of these is read again one line at a time through
-``CacheRecord.from_line``, so that the error names the first bad line as
-``path:line``.  The lemma checks apply to the file only; ``CacheRecord``
-itself checks what it always has.
+Loading runs it on blocks of about 64 KiB (some 1,100 lines), each parsed by
+one ``json.loads``, with primality from one sieve; the row it returns names
+the first bad line as ``path:line``.  A prime listed twice must have the
+same record both times.  ``CacheRecord(...)`` and ``CacheRecord.batch``
+apply the same grammar to the lines they would write and run the same
+checker, so the writer refuses exactly what the reader refuses.
 
 Concurrency contract: one writer, any number of readers.  Parallel census
 workers hand their results to the single owning process, which appends.
@@ -34,15 +32,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, eq, itemgetter, mod, mul, sub
-from typing import Iterable
+from itertools import islice, repeat
+from operator import add, eq, indexOf, is_, is_not, itemgetter, le, mod, mul, sub
+from typing import Callable, Iterable, Sequence
 
 from .numtheory import is_prime, prime_mask
 from .sequence import _L_FOR_LSD, PRIME_CAP, ReciprocalSpec, _full_length_counts
 
-__all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache"]
+__all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache", "first_broken"]
 
 CACHE_HEADER = "dseq-cache,v1"
 
@@ -55,59 +54,122 @@ _BLOCK_CHARS = 1 << 16
 # of up to 2 GB.
 _SIEVE_BOUND = 1 << 22
 
-# l by p % 10, None where 10 is not invertible.
-_L_BY_LAST_DIGIT = tuple(_L_FOR_LSD.get(c) for c in range(10))
-
-# The fields p, l, T, k of a parsed line, and its counts as a tuple.
-_HEAD = tuple(map(itemgetter, range(4)))
-_COUNTS = itemgetter(*range(4, 14))
+# The start of the first line that is not 14 plain decimal integers.  A field
+# of 20 or more digits breaks some rule anyway; refusing it here spares int()
+# a string of thousands of digits.
+_FIELD = r"(?:0|[1-9][0-9]{0,18})"
+_FIRST_BAD_LINE = re.compile(rf"^(?!{_FIELD}(?:,{_FIELD}){{13}}$)", re.M)
 
 
 class CacheCorruptionError(Exception):
     """The cache file disagrees with itself or with a new record."""
 
 
+def _broken_lemma(p: int, period: int, f: tuple[int, ...]) -> str | None:
+    """The lemma that the counts f of a period of 1/p contradict, or None."""
+    if period == p - 1:
+        if f != _full_length_counts(p):
+            return f"full length, but counts {f} are not N_p = {_full_length_counts(p)}"
+    elif period % 2 == 0:
+        if f != f[::-1]:
+            return f"period {period} is even, but counts {f} are not mirrored"
+    elif 2 * period == p - 1 and tuple(map(add, f, f[::-1])) != _full_length_counts(p):
+        return (f"period {period} = (p-1)/2 is odd, but counts {f} do not "
+                f"complement to N_p = {_full_length_counts(p)}")
+    return None
+
+
+def first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence,
+                 counts: Sequence, prime: Sequence) -> tuple[int, str] | None:
+    """The first row that breaks a record rule, with that rule's message, or None.
+
+    The arguments are columns of one length: the fields of each row, and
+    whether its p is prime.  A row is the ints of a line that is 14 plain
+    decimal integers, so no count is negative, or None in every column for
+    a line that is not.  Each rule is checked on the rows before the first
+    failure found so far, which therefore obey every rule before it.  T >= 1
+    needs no rule: k*T = p - 1 with p prime makes T nonzero, and counts
+    summing to T make it positive.
+    """
+    rules = (  # (a bool per row, the message for row i)
+        (lambda: map(is_not, p, repeat(None)), lambda i: "not 14 plain decimal integers"),
+        (lambda: map(le, p, repeat(PRIME_CAP)), lambda i: f"exceeds the supported cap {PRIME_CAP}"),
+        (lambda: map(eq, l, map(_L_FOR_LSD.get, map(mod, p, repeat(10)))),
+         lambda i: f"l={l[i]} does not invert -{p[i]} mod 10"),
+        (lambda: map(eq, map(mul, cofactor, period), map(sub, p, repeat(1))),
+         lambda i: f"cofactor {cofactor[i]} * period {period[i]} != p - 1"),
+        (lambda: map(eq, map(sum, counts), period),
+         lambda i: f"counts sum to {sum(counts[i])}, period is {period[i]}"),
+        (lambda: prime, lambda i: "not prime"),
+        (lambda: map(is_, map(_broken_lemma, p, period, counts), repeat(None)),
+         lambda i: _broken_lemma(p[i], period[i], counts[i])),
+    )
+    rows, found = len(p), None
+    for oks, message in rules:
+        if not all(islice(oks(), rows)):
+            rows = indexOf(oks(), False)
+            named = "" if p[rows] is None else f"record for {p[rows]}: "
+            found = (rows, named + message(rows))
+    return found
+
+
+def _line(p: int, l: int, period: int, cofactor: int, counts: tuple[int, ...]) -> str:
+    return ",".join(map(str, (p, l, period, cofactor, *counts)))
+
+
+def _writable(p: Sequence, l: Sequence, period: Sequence, counts: Sequence,
+              prime: Sequence) -> list["CacheRecord"]:
+    """Records of these columns; ValueError unless the lines they would be written as load."""
+    cofactor = [(q - 1) // t if t else 0 for q, t in zip(p, period)]
+    columns = (p, l, period, cofactor, counts, prime)
+    text = "\n".join(map(_line, *columns[:5]))
+    bad = _FIRST_BAD_LINE.search(text) if text else None
+    if bad is not None:  # that line: each field fails the first rule
+        i = text.count("\n", 0, bad.start())
+        columns = tuple([*column[:i], None] for column in columns)
+    failure = first_broken(*columns)
+    if failure is not None:
+        raise ValueError(failure[1])
+    return CacheRecord._checked(zip(p, l, period, counts))
+
+
 @dataclass(frozen=True)
 class CacheRecord(ReciprocalSpec):
     """A spec with the digit counts of its period: one line of the cache.
 
-    The line also stores the cofactor (p-1)/period, which ``from_line``
-    checks against the one the spec derives.
+    The line also stores the cofactor (p-1)/period.  Making a record checks
+    its line as loading would, except in ``_checked`` on rows already checked.
     """
 
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        if len(self.counts) != 10 or min(self.counts) < 0:
-            raise ValueError(f"record for {self.p}: need 10 nonnegative counts")
-        if sum(self.counts) != self.period:
-            raise ValueError(
-                f"record for {self.p}: counts sum to {sum(self.counts)}, "
-                f"period is {self.period}"
-            )
-        if not is_prime(self.p):
-            raise ValueError(f"record for {self.p}: not prime")
+        p = self.p
+        _writable((p,), (self.l,), (self.period,), (self.counts,),
+                  (type(p) is int and is_prime(p),))
 
     def to_line(self) -> str:
-        return ",".join(
-            str(x) for x in (self.p, self.l, self.period, self.cofactor, *self.counts)
-        )
+        return _line(self.p, self.l, self.period, self.cofactor, self.counts)
 
     @classmethod
     def from_line(cls, line: str) -> "CacheRecord":
-        parts = line.split(",")
-        if len(parts) != 14:
-            raise ValueError(f"expected 14 fields, got {len(parts)}")
-        p, l, period, cofactor, *counts = map(int, parts)
-        rec = cls(p, l, period, tuple(counts))
-        if cofactor != rec.cofactor:
-            raise ValueError(f"record for {p}: cofactor*period != p-1")
-        return rec
+        records, failure = _block_records(
+            line, lambda ps: [p <= PRIME_CAP and is_prime(p) for p in ps])
+        if failure is not None or len(records) != 1:
+            raise ValueError(failure[1] if failure else f"expected one line, got {len(records)}")
+        return records[0]
+
+    @classmethod
+    def batch(cls, specs: list[ReciprocalSpec],
+              counts: list[tuple[int, ...]]) -> list["CacheRecord"]:
+        """Records of specs with their counts; ValueError unless each would load."""
+        p = [spec.p for spec in specs]
+        return _writable(p, [spec.l for spec in specs], [spec.period for spec in specs],
+                         counts, _Primes().flags(p))
 
     @classmethod
     def _checked(cls, fields: Iterable[tuple]) -> list["CacheRecord"]:
-        """Records of (p, l, period, counts) that already passed every check above."""
+        """Records of (p, l, period, counts) that first_broken has passed."""
         # fields set one by one, as __init__ sets them: filling rec.__dict__ instead
         # materializes a dict per record, 1.3 MB more for the 1e5 cache
         new, setattr_ = object.__new__, object.__setattr__
@@ -122,78 +184,47 @@ class CacheRecord(ReciprocalSpec):
         return records
 
 
-def _broken_lemma(p: Iterable[int], period: Iterable[int],
-                  counts: Iterable[tuple[int, ...]]) -> str | None:
-    """The first lemma that a record of these columns contradicts, or None."""
-    for q, t, f in zip(p, period, counts):
-        if t == q - 1:
-            if f != _full_length_counts(q):
-                return f"full length, but counts {f} are not N_p = {_full_length_counts(q)}"
-        elif t % 2 == 0:
-            if f != f[::-1]:
-                return f"period {t} is even, but counts {f} are not mirrored"
-        elif 2 * t == q - 1 and tuple(map(add, f, f[::-1])) != _full_length_counts(q):
-            return (f"period {t} = (p-1)/2 is odd, but counts {f} do not "
-                    f"complement to N_p = {_full_length_counts(q)}")
-    return None
-
-
-def _line_record(line: str) -> CacheRecord:
-    """One line with every load check, one at a time; ValueError names the first broken."""
-    rec = CacheRecord.from_line(line)
-    try:
-        json.loads(f"[{line}]")
-    except ValueError:
-        raise ValueError(
-            f"record for {rec.p}: a field is not a plain decimal integer") from None
-    failure = _broken_lemma((rec.p,), (rec.period,), (rec.counts,))
-    if failure is not None:
-        raise ValueError(f"record for {rec.p}: {failure}")
-    return rec
-
-
 class _Primes:
     """Primality of cached p: one sieve grown up to _SIEVE_BOUND, Miller-Rabin above it."""
 
     def __init__(self) -> None:
         self.mask = bytearray()
 
-    def all_prime(self, ps: list[int]) -> bool:
-        """Whether every p in ps (each >= 2) is prime."""
-        top = max(ps)
-        if top > _SIEVE_BOUND:
-            top = max(filter(_SIEVE_BOUND.__ge__, ps), default=2)
+    def flags(self, ps: list[int]) -> list:
+        """Whether each p in ps is prime (a sieve byte or a bool); False above PRIME_CAP."""
+        top = max(filter(_SIEVE_BOUND.__ge__, ps), default=0)
         mask = self.mask
         if top >= len(mask):
             # at least doubled, so that a cache in ascending order sieves O(top) in all
             mask = self.mask = prime_mask(min(_SIEVE_BOUND, max(top, 2 * len(mask))))
         n = len(mask)
-        return all(mask[p] if p < n else is_prime(p) for p in ps)
+        return [mask[p] if 0 <= p < n else p <= PRIME_CAP and is_prime(p) for p in ps]
 
 
-def _block_records(block: str, primes: _Primes) -> list[CacheRecord] | None:
-    """The records of newline-separated lines if each passes every load check, else None."""
+def _block_records(block: str, prime_flags: Callable[[list[int]], list]
+                   ) -> tuple[list[CacheRecord], tuple[int, str] | None]:
+    """The records of a block's lines above the first bad one, and first_broken's failure."""
     # Only digits, commas and newlines: every field json reads is then a
     # nonnegative int, and no bracket can split or nest the rows.
-    if block.encode().translate(None, b"0123456789,\n"):
-        return None
-    try:
-        rows = json.loads("[[" + block.replace("\n", "],[") + "]]")
-    except ValueError:  # an empty field, or a leading zero
-        return None
-    if set(map(len, rows)) != {14}:
-        return None
-    p, l, period, cofactor = (list(map(field, rows)) for field in _HEAD)
-    counts = list(map(_COUNTS, rows))
-    if not (min(p) >= 2 and max(p) <= PRIME_CAP and min(period) >= 1
-            and all(map(eq, l, map(_L_BY_LAST_DIGIT.__getitem__, map(mod, p, repeat(10)))))
-            and all(map(eq, map(mul, cofactor, period), map(sub, p, repeat(1))))
-            and all(map(eq, map(sum, counts), period))
-            and primes.all_prime(p)):
-        return None
-    if _broken_lemma(p, period, counts) is not None:
-        return None
-    return CacheRecord._checked(zip(p, l, period, counts))
+    rows = None
+    if not block.encode().translate(None, b"0123456789,\n"):
+        try:
+            rows = json.loads("[[" + block.replace("\n", "],[") + "]]")
+        except ValueError:  # an empty field, or a leading zero
+            pass
+    broken = rows is None or set(map(len, rows)) != {14}
+    if broken:  # parse the lines above the first that is not 14 plain decimal integers
+        head = block[:_FIRST_BAD_LINE.search(block).start()]
+        rows = json.loads("[[" + head[:-1].replace("\n", "],[") + "]]") if head else []
+    p, l, period, cofactor = (list(map(itemgetter(i), rows)) for i in range(4))
+    counts = list(map(itemgetter(*range(4, 14)), rows))
+    prime = prime_flags(p)
+    if broken:  # that line: each field fails the first rule
+        for column in (p, l, period, cofactor, counts, prime):
+            column.append(None)
+    failure = first_broken(p, l, period, cofactor, counts, prime)
+    good = len(p) if failure is None else failure[0]
+    return CacheRecord._checked(islice(zip(p, l, period, counts), good)), failure
 
 
 class ResultCache:
@@ -246,17 +277,10 @@ class ResultCache:
             stop = text.find("\n", start + _BLOCK_CHARS)
             if stop < 0:
                 stop = len(text) - 1  # the text ends with a newline
-            block = text[start:stop]
-            records = _block_records(block, primes)
-            if records is None:
-                records = []
-                for idx, line in enumerate(block.split("\n"), start=lineno):
-                    try:
-                        records.append(_line_record(line))
-                    except ValueError as exc:
-                        self._add_loaded(records, lineno)  # a conflict above comes first
-                        raise CacheCorruptionError(f"{self.path}:{idx}: {exc}") from exc
-            self._add_loaded(records, lineno)
+            records, failure = _block_records(text[start:stop], primes.flags)
+            self._add_loaded(records, lineno)  # a conflict above the bad line comes first
+            if failure is not None:
+                raise CacheCorruptionError(f"{self.path}:{lineno + failure[0]}: {failure[1]}")
             lineno += len(records)
             start = stop + 1
 

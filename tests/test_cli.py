@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from dseq.census import ODD, OTHER, ClassKey, census_primes, classify
+from dseq.census import ODD, OTHER, ClassKey, batch_records, census_primes, classify
 from dseq.cli import main
 from dseq.invariants import RuleReport, RuleStats, VerificationSummary
-from dseq.sequence import long_division_digits
+from dseq.sequence import _full_length_counts, long_division_digits
 from dseq.store import CACHE_HEADER
 
 
@@ -300,6 +300,92 @@ def test_cache_record_contradicting_mirror_lemma_exit_three(capsys, tmp_path):
     code, out, err = run_cli(capsys, "tables", "1", "--cache", str(path))
     assert (code, out) == (3, "")
     assert "swapped.csv:3: record for 601" in err
+
+
+# Valid record lines of 7 (full length), 13 (period 6) and 601 (period 300).
+L7 = "7,7,6,1,0,1,1,0,1,1,0,1,1,0"
+L13 = "13,3,6,2,1,0,1,1,0,0,1,1,0,1"
+L601 = "601,9,300,2,35,28,28,31,28,28,31,28,28,35"
+# 601 with other mirrored counts that sum to 300: consistent, but not 601's record
+OTHER_601 = "601,9,300,2,36,27,28,31,28,28,31,28,27,36"
+ABOVE_CAP = 2147483659  # the least prime above PRIME_CAP
+
+
+def _cache_bytes(lines, newline="\n", tail=""):
+    return ("".join(x + newline for x in [CACHE_HEADER, *lines]) + tail).encode()
+
+
+def _field(line, text):
+    """line with its fifth field (the count of digit 0) replaced by text."""
+    fields = line.split(",")
+    fields[4] = text
+    return ",".join(fields)
+
+
+# Each corrupt cache file and the line its refusal names (None: the whole file).
+CORRUPT = {
+    "bad_header": (b"wrong-header\n" + L7.encode() + b"\n", None),
+    "not_utf8": (b"\xff\xfe\n", None),
+    "garbage": (_cache_bytes([L7, "garbage", L13]), 3),
+    "blank_line": (_cache_bytes([L7, "   ", L13]), 3),
+    "empty_line": (_cache_bytes([L7, "", L13]), 3),
+    "13_fields": (_cache_bytes([L7, L601.rsplit(",", 1)[0]]), 3),
+    "15_fields": (_cache_bytes([L7, L601 + ",0"]), 3),
+    "multiplier": (_cache_bytes([L7, L601.replace("601,9,", "601,3,")]), 3),
+    "period_zero": (_cache_bytes([L7, L601.replace(",300,", ",0,")]), 3),
+    "period_not_divisor": (_cache_bytes([L7, L601.replace(",300,2,", ",7,2,")]), 3),
+    "cofactor": (_cache_bytes([L7, L601.replace(",300,2,", ",300,3,")]), 3),
+    "negative_count": (_cache_bytes([L7, L601.replace(",35,28,", ",64,-1,", 1)]), 3),
+    "count_sum": (_cache_bytes([L7, _field(L601, "36")]), 3),
+    "not_prime": (_cache_bytes([L7, "91,9,6,15,1,1,1,1,1,1,0,0,0,0"]), 3),
+    "p_0": (_cache_bytes([L7, "0" + L7[1:]]), 3),
+    "p_1": (_cache_bytes([L7, "1,9,1,0,1,0,0,0,0,0,0,0,0,0"]), 3),
+    "p_2": (_cache_bytes([L7, "2,7,1,1,0,0,0,0,0,0,0,0,0,1"]), 3),
+    "above_cap": (_cache_bytes([L7, ",".join(map(str, (
+        ABOVE_CAP, 1, ABOVE_CAP - 1, 1, *_full_length_counts(ABOVE_CAP))))]), 3),
+    "brackets": (_cache_bytes([L7, f"[{L601}]"]), 3),
+    "float": (_cache_bytes([L7, L601.replace("601,", "601.0,", 1)]), 3),
+    "torn_tail": (_cache_bytes([L7, "garbage"], tail="13,3,6"), 3),
+    "crlf": (_cache_bytes([L7, L13, "garbage"], newline="\r\n"), 4),
+    "cr": (_cache_bytes([L7, L13, "garbage"], newline="\r"), 4),
+    "identical_duplicate": (_cache_bytes([L7, L7, "garbage"]), 4),
+    "conflicting_duplicate": (_cache_bytes([L601, OTHER_601]), 3),
+    "space_in_field": (_cache_bytes([L7, _field(L601, "3 5")]), 3),
+    "tab_in_field": (_cache_bytes([L7, _field(L601, "3\t5")]), 3),
+    "plus_sign": (_cache_bytes([L7, _field(L601, "+35")]), 3),
+    "leading_zero": (_cache_bytes([L7, _field(L601, "035")]), 3),
+    "underscore": (_cache_bytes([L7, _field(L601, "3_5")]), 3),
+    "non_ascii_digits": (_cache_bytes([L7, _field(L601, "٣٥")]), 3),
+    "full_length_lemma": (_cache_bytes([L13, "7,7,6,1,1,0,1,0,1,1,0,1,0,1"]), 3),
+    "mirror_lemma": (_cache_bytes([L7, "601,9,300,2,28,35,28,31,28,28,31,28,28,35"]), 3),
+    "complement_lemma": (_cache_bytes([L7, "31,9,15,2,2,2,2,2,1,2,2,0,1,1"]), 3),
+    # the first bad line of a block is the least one that breaks any rule
+    "semantic_before_grammar": (_cache_bytes(
+        [L7, L601.replace(",300,2,", ",300,3,"), L13, "garbage"]), 3),
+    "conflict_before_broken": (_cache_bytes([L601, OTHER_601, L7, "garbage"]), 3),
+}
+
+
+@pytest.fixture(scope="module")
+def full_length_lines():
+    """Record lines of the full-length primes to 5e4: more than one 64 KiB load block."""
+    keep = lambda spec: spec.cofactor == 1  # noqa: E731
+    return [rec.to_line() for rec in batch_records(census_primes(50_000), keep=keep)]
+
+
+@pytest.mark.parametrize("name", list(CORRUPT) + ["lemma_in_second_block"])
+def test_corrupt_cache_matrix_exit_three(capsys, tmp_path, full_length_lines, name):
+    if name == "lemma_in_second_block":
+        content = _cache_bytes([*full_length_lines, L601.replace(",35,28,", ",28,35,", 1)])
+        line = len(full_length_lines) + 2
+        assert 65536 < content.index(b"\n601,") < 2 * 65536  # in the second block
+    else:
+        content, line = CORRUPT[name]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "tables", "1", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert f"bad.csv:{line}: " in err if line else "bad.csv: " in err
 
 
 def test_unknown_command_is_usage_error(capsys):

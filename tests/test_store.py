@@ -4,10 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseq import store
+from dseq import census, store
 from dseq.census import batch_records, census_primes
 from dseq.numtheory import prime_mask, sieve_primes
-from dseq.sequence import EVEN, HALF, ClassKey, ReciprocalSpec, _full_length_counts, histogram
+from dseq.sequence import (
+    EVEN,
+    HALF,
+    ClassKey,
+    DigitHistogram,
+    ReciprocalSpec,
+    _full_length_counts,
+    histogram,
+)
 from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
 
 
@@ -76,7 +84,8 @@ def test_append_is_idempotent(tmp_path):
 
 
 def test_conflicting_append_rejected(tmp_path):
-    other = CacheRecord(601, 9, 300, (36, 27, 28, 31, 28, 28, 31, 28, 28, 35))
+    # mirrored and summing to 300, so the record type accepts it, but not 601's counts
+    other = CacheRecord(601, 9, 300, (36, 27, 28, 31, 28, 28, 31, 28, 27, 36))
     with ResultCache(tmp_path / "c.csv") as cache:
         cache.append(REC_601)
         with pytest.raises(CacheCorruptionError):
@@ -187,11 +196,10 @@ def test_bulk_load_equals_from_line(tmp_path, monkeypatch, lines_to_2e4, newline
     _write_cache(path, lines_to_2e4, newline)
 
     def unexpected(*args):
-        raise AssertionError("a valid cache took the line-by-line path or Miller-Rabin")
+        raise AssertionError("a valid cache took Miller-Rabin")
 
-    # every block passes the column checks; primality comes from the sieve
+    # primality comes from the sieve
     with monkeypatch.context() as patched:
-        patched.setattr(store, "_line_record", unexpected)
         patched.setattr(store, "is_prime", unexpected)
         cache = ResultCache(path)
     assert len(cache) == len(lines_to_2e4)
@@ -246,7 +254,8 @@ def test_prime_near_cap_loads_without_a_sieve_of_its_size(tmp_path, monkeypatch)
 @pytest.mark.parametrize("field", ["+35", "035", "3_5"])
 def test_fields_only_int_reads_are_refused(tmp_path, field):
     line = REC_601.to_line().replace(",35,", f",{field},", 1)
-    assert CacheRecord.from_line(line) == REC_601  # int() reads it
+    with pytest.raises(ValueError, match="plain decimal integer"):  # although int() reads it
+        CacheRecord.from_line(line)
     path = tmp_path / "c.csv"
     _write_cache(path, [REC_7.to_line(), line])
     with pytest.raises(CacheCorruptionError, match="c.csv:3: .*plain decimal integer"):
@@ -262,9 +271,26 @@ def test_fields_only_int_reads_are_refused(tmp_path, field):
     ("31,9,15,2,2,2,2,2,1,2,2,0,1,1", "do not complement"),
 ], ids=["mirror", "full_length", "complement"])
 def test_record_contradicting_a_lemma_is_refused_at_load(tmp_path, line, lemma):
-    rec = CacheRecord.from_line(line)  # consistent: the record type itself accepts it
-    assert _record(rec.p) != rec
+    p = int(line.split(",")[0])
+    with pytest.raises(ValueError, match=f"record for {p}: .*{lemma}"):
+        CacheRecord.from_line(line)  # the record type refuses it too
     path = tmp_path / "c.csv"
     _write_cache(path, [REC_7.to_line(), _record(13).to_line(), line])
-    with pytest.raises(CacheCorruptionError, match=f"c.csv:4: record for {rec.p}: .*{lemma}"):
+    with pytest.raises(CacheCorruptionError, match=f"c.csv:4: record for {p}: .*{lemma}"):
         ResultCache(path)
+
+
+def test_writer_refuses_what_the_reader_refuses(tmp_path, monkeypatch):
+    # 601's counts with those of digits 0 and 1 swapped: not mirrored (Midy)
+    swapped = (28, 35) + REC_601.counts[2:]
+    with pytest.raises(ValueError, match="not mirrored"):
+        CacheRecord(601, 9, 300, swapped)
+    path = tmp_path / "c.csv"
+    with ResultCache(path) as cache:
+        cache.append(REC_7)
+    before = path.read_bytes()
+    monkeypatch.setattr(census, "histogram", lambda spec: DigitHistogram(swapped))
+    with ResultCache(path) as cache:
+        with pytest.raises(ValueError, match="record for 601: .*not mirrored"):
+            batch_records([601], cache=cache)
+    assert path.read_bytes() == before
