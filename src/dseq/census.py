@@ -28,7 +28,7 @@ from .sequence import (
     ReciprocalSpec,
     histogram,
 )
-from .store import CacheRecord, ResultCache
+from .store import CacheRecord, ResultCache, _line
 
 __all__ = [
     "EVEN",
@@ -69,8 +69,8 @@ def _classified(
     return specs
 
 
-def _count(spec: ReciprocalSpec) -> tuple[int, ...]:
-    return histogram(spec).counts
+def _count(spec: ReciprocalSpec) -> str:
+    return _line(spec.p, spec.l, spec.period, spec.cofactor, histogram(spec).counts)
 
 
 def _counted(
@@ -94,10 +94,10 @@ def _counted(
             import numpy  # noqa: F401
 
             with multiprocessing.Pool(workers) as pool:
-                counts = pool.map(_count, todo, chunksize=chunk)
+                lines = pool.map(_count, todo, chunksize=chunk)
         else:
-            counts = list(map(_count, todo))
-        computed = CacheRecord.batch(todo, counts)  # checked as loading checks them
+            lines = [_count(s) for s in todo]
+        computed = CacheRecord.from_lines(lines)  # checked as loading checks them
         for rec in computed:
             specs[rec.p] = rec
         if cache is not None:

@@ -155,7 +155,10 @@ _GROUPS_09_SIX = (frozenset({0, 9}), frozenset(_SIX))
 _GROUPS_36_SIX = (frozenset({3, 6}), frozenset(_SIX))
 
 RULES: dict[str, tuple[SubCheck, ...]] = {
-    **{rule: (_closed_form("closed_form"),) for rule in ("FL1", "FL3", "FL7", "FL9")},
+    "FL1": (_closed_form("closed_form"),),
+    "FL3": (_closed_form("closed_form"),),
+    "FL7": (_closed_form("closed_form"),),
+    "FL9": (_closed_form("closed_form"),),
     "HL1E": (
         _period_total("total_5m"),
         _equal_group("f0_f9", STRONG, (0, 9)),

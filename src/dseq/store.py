@@ -8,7 +8,7 @@ never change any output.
 A line is ``p,l,T,k,f(0),...,f(9)``: the prime, its multiplier digit, its
 period, the cofactor (p-1)/T and the period's digit counts.  A line loads
 when it is 14 plain decimal integers (no sign, and no ``+5``, ``05`` or
-``5_0``, which ``int`` would read) and one checker, ``first_broken``,
+``5_0``, which ``int`` would read) and one checker, ``_first_broken``,
 passes its fields column by column:
 
 - p <= PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, counts that sum to T, and
@@ -19,11 +19,14 @@ passes its fields column by column:
   negatives are every unit once).
 
 Loading runs it on blocks of about 64 KiB (some 1,100 lines), each parsed by
-one ``json.loads``, with primality from one sieve; the row it returns names
-the first bad line as ``path:line``.  A prime listed twice must have the
-same record both times.  ``CacheRecord(...)`` and ``CacheRecord.batch``
-apply the same grammar to the lines they would write and run the same
-checker, so the writer refuses exactly what the reader refuses.
+one ``json.loads``; the row it returns names the first bad line as
+``path:line``.  Primality comes from one sieve, grown only over spans that
+the cached p fill densely enough to pay for it, and from Miller-Rabin
+elsewhere.  A prime listed twice must have the same record both times.
+``CacheRecord(...)``, ``from_line`` and ``from_lines`` run the loader's own
+block function on the lines they stand for, so the writer refuses exactly
+what the reader refuses.  The census workers return lines, and the records
+it appends are the ones ``from_lines`` reads back from them.
 
 Concurrency contract: one writer, any number of readers.  Parallel census
 workers hand their results to the single owning process, which appends.
@@ -41,17 +44,17 @@ from typing import Callable, Iterable, Sequence
 from .numtheory import is_prime, prime_mask
 from .sequence import _L_FOR_LSD, PRIME_CAP, ReciprocalSpec, _full_length_counts
 
-__all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache", "first_broken"]
+__all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache"]
 
 CACHE_HEADER = "dseq-cache,v1"
 
 # Characters of the file parsed at once.  A parse of the whole file was no
 # faster and held about 2 MB more at its peak when loading the 1e5 cache.
 _BLOCK_CHARS = 1 << 16
+_BLOCK_LINES = 1024  # lines of one block that from_lines checks
 
-# Cached primes up to this bound are checked against one sieve; a larger one
-# (only a hand-made line near PRIME_CAP) gets Miller-Rabin instead of a mask
-# of up to 2 GB.
+# The sieve never grows past this bound: a larger cached p (only a hand-made
+# line near PRIME_CAP) gets Miller-Rabin instead of a mask of up to 2 GB.
 _SIEVE_BOUND = 1 << 22
 
 # The start of the first line that is not 14 plain decimal integers.  A field
@@ -79,8 +82,8 @@ def _broken_lemma(p: int, period: int, f: tuple[int, ...]) -> str | None:
     return None
 
 
-def first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence,
-                 counts: Sequence, prime: Sequence) -> tuple[int, str] | None:
+def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence,
+                  counts: Sequence, prime: Sequence) -> tuple[int, str] | None:
     """The first row that breaks a record rule, with that rule's message, or None.
 
     The arguments are columns of one length: the fields of each row, and
@@ -117,22 +120,6 @@ def _line(p: int, l: int, period: int, cofactor: int, counts: tuple[int, ...]) -
     return ",".join(map(str, (p, l, period, cofactor, *counts)))
 
 
-def _writable(p: Sequence, l: Sequence, period: Sequence, counts: Sequence,
-              prime: Sequence) -> list["CacheRecord"]:
-    """Records of these columns; ValueError unless the lines they would be written as load."""
-    cofactor = [(q - 1) // t if t else 0 for q, t in zip(p, period)]
-    columns = (p, l, period, cofactor, counts, prime)
-    text = "\n".join(map(_line, *columns[:5]))
-    bad = _FIRST_BAD_LINE.search(text) if text else None
-    if bad is not None:  # that line: each field fails the first rule
-        i = text.count("\n", 0, bad.start())
-        columns = tuple([*column[:i], None] for column in columns)
-    failure = first_broken(*columns)
-    if failure is not None:
-        raise ValueError(failure[1])
-    return CacheRecord._checked(zip(p, l, period, counts))
-
-
 @dataclass(frozen=True)
 class CacheRecord(ReciprocalSpec):
     """A spec with the digit counts of its period: one line of the cache.
@@ -144,32 +131,31 @@ class CacheRecord(ReciprocalSpec):
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = self.p
-        _writable((p,), (self.l,), (self.period,), (self.counts,),
-                  (type(p) is int and is_prime(p),))
+        k = (self.p - 1) // self.period if self.period else 0
+        self.from_lines([_line(self.p, self.l, self.period, k, self.counts)])
 
     def to_line(self) -> str:
         return _line(self.p, self.l, self.period, self.cofactor, self.counts)
 
     @classmethod
     def from_line(cls, line: str) -> "CacheRecord":
-        records, failure = _block_records(
-            line, lambda ps: [p <= PRIME_CAP and is_prime(p) for p in ps])
-        if failure is not None or len(records) != 1:
-            raise ValueError(failure[1] if failure else f"expected one line, got {len(records)}")
-        return records[0]
+        (record,) = cls.from_lines([line])  # and ValueError for more than one line
+        return record
 
     @classmethod
-    def batch(cls, specs: list[ReciprocalSpec],
-              counts: list[tuple[int, ...]]) -> list["CacheRecord"]:
-        """Records of specs with their counts; ValueError unless each would load."""
-        p = [spec.p for spec in specs]
-        return _writable(p, [spec.l for spec in specs], [spec.period for spec in specs],
-                         counts, _Primes().flags(p))
+    def from_lines(cls, lines: list[str]) -> list["CacheRecord"]:
+        """The records of these lines; ValueError unless every line would load."""
+        records, primes = [], _Primes()
+        for i in range(0, len(lines), _BLOCK_LINES):
+            block, failure = _block_records("\n".join(lines[i:i + _BLOCK_LINES]), primes.flags)
+            if failure is not None:
+                raise ValueError(failure[1])
+            records += block
+        return records
 
     @classmethod
     def _checked(cls, fields: Iterable[tuple]) -> list["CacheRecord"]:
-        """Records of (p, l, period, counts) that first_broken has passed."""
+        """Records of (p, l, period, counts) that _first_broken has passed."""
         # fields set one by one, as __init__ sets them: filling rec.__dict__ instead
         # materializes a dict per record, 1.3 MB more for the 1e5 cache
         new, setattr_ = object.__new__, object.__setattr__
@@ -185,7 +171,7 @@ class CacheRecord(ReciprocalSpec):
 
 
 class _Primes:
-    """Primality of cached p: one sieve grown up to _SIEVE_BOUND, Miller-Rabin above it."""
+    """Primality of cached p: one sieve, grown where the p are dense, and Miller-Rabin."""
 
     def __init__(self) -> None:
         self.mask = bytearray()
@@ -193,17 +179,20 @@ class _Primes:
     def flags(self, ps: list[int]) -> list:
         """Whether each p in ps is prime (a sieve byte or a bool); False above PRIME_CAP."""
         top = max(filter(_SIEVE_BOUND.__ge__, ps), default=0)
-        mask = self.mask
-        if top >= len(mask):
+        n = len(self.mask)
+        # One Miller-Rabin proof costs about as much as sieving 1000 numbers, so
+        # the sieve grows only over a span that the p beyond it fill that densely.
+        if top >= n and 1000 * sum(map(n.__le__, ps)) >= top - n:
             # at least doubled, so that a cache in ascending order sieves O(top) in all
-            mask = self.mask = prime_mask(min(_SIEVE_BOUND, max(top, 2 * len(mask))))
+            self.mask = prime_mask(min(_SIEVE_BOUND, max(top, 2 * n)))
+        mask = self.mask
         n = len(mask)
         return [mask[p] if 0 <= p < n else p <= PRIME_CAP and is_prime(p) for p in ps]
 
 
 def _block_records(block: str, prime_flags: Callable[[list[int]], list]
                    ) -> tuple[list[CacheRecord], tuple[int, str] | None]:
-    """The records of a block's lines above the first bad one, and first_broken's failure."""
+    """The records of a block's lines above the first bad one, and _first_broken's failure."""
     # Only digits, commas and newlines: every field json reads is then a
     # nonnegative int, and no bracket can split or nest the rows.
     rows = None
@@ -222,7 +211,7 @@ def _block_records(block: str, prime_flags: Callable[[list[int]], list]
     if broken:  # that line: each field fails the first rule
         for column in (p, l, period, cofactor, counts, prime):
             column.append(None)
-    failure = first_broken(p, l, period, cofactor, counts, prime)
+    failure = _first_broken(p, l, period, cofactor, counts, prime)
     good = len(p) if failure is None else failure[0]
     return CacheRecord._checked(islice(zip(p, l, period, counts), good)), failure
 

@@ -251,6 +251,24 @@ def test_prime_near_cap_loads_without_a_sieve_of_its_size(tmp_path, monkeypatch)
     assert sieved and max(sieved) <= store._SIEVE_BOUND
 
 
+def test_few_large_primes_get_no_sieve_of_their_size(tmp_path, monkeypatch):
+    big = CacheRecord(999983, 3, 999982, _full_length_counts(999983))
+    small = [_record(p) for p in (7, 13, 17, 19, 23, 29, 31)]
+    path = tmp_path / "c.csv"
+    _write_cache(path, [rec.to_line() for rec in small] + [big.to_line()])
+    sieved = []
+
+    def recorded(limit):
+        sieved.append(limit)
+        return prime_mask(limit)
+
+    monkeypatch.setattr(store, "prime_mask", recorded)
+    with ResultCache(path) as cache:
+        assert cache.lookup(999983) == big and cache.lookup(31) == small[-1]
+    assert CacheRecord.from_lines([big.to_line()]) == [big]
+    assert max(sieved, default=0) < 1000  # Miller-Rabin proves 999983 instead
+
+
 @pytest.mark.parametrize("field", ["+35", "035", "3_5"])
 def test_fields_only_int_reads_are_refused(tmp_path, field):
     line = REC_601.to_line().replace(",35,", f",{field},", 1)
