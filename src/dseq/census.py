@@ -3,15 +3,20 @@
 A prime is classified by its last digit, the parity of its tens digit, and
 its length class: full (period = p-1), half (period = (p-1)/2) or other.
 
-Every range command goes through one pipeline: a cache hit is the stored
-record as it is; a miss is classified once, here; a caller may drop specs
-before any digit is counted; the misses left are counted (in a worker pool
-for jobs > 1), appended to the cache in ascending order, and every result
-comes back in input order.  Output is therefore identical for any worker
-count, with or without a cache.
+Every range command goes through one pipeline.  A cache hit is the stored
+record as it is.  The misses are sorted ascending and cut into chunks, and
+one task does all of a chunk's work: it classifies each miss (unless the
+caller has already classified it here, to drop some with ``keep`` or to
+check its class), counts its digits and returns its cache line.  The task
+runs in a worker pool for jobs > 1 and in process otherwise; the parent
+checks each chunk's lines as loading would and appends the chunk as soon as
+it arrives, in order.  Appends are therefore ascending, the same bytes for
+any worker count, and an interrupted run keeps every finished chunk.  Every
+result comes back in input order, with or without a cache.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +33,7 @@ from .sequence import (
     ReciprocalSpec,
     histogram,
 )
-from .store import CacheRecord, ResultCache, _line
+from .store import CacheRecord, ResultCache, _line, _Primes
 
 __all__ = [
     "EVEN",
@@ -69,39 +74,53 @@ def _classified(
     return specs
 
 
-def _count(spec: ReciprocalSpec) -> str:
-    return _line(spec.p, spec.l, spec.period, spec.cofactor, histogram(spec).counts)
+def _count_chunk(items: list) -> list[str]:
+    """The cache lines of a chunk of misses; an item is a spec, or a prime to classify."""
+    lines = []
+    for item in items:
+        spec = item if isinstance(item, ReciprocalSpec) else ReciprocalSpec.for_prime(item)
+        lines.append(_line(spec.p, spec.l, spec.period, spec.cofactor, histogram(spec).counts))
+    return lines
 
 
 def _counted(
     primes: list[int],
-    specs: dict[int, ReciprocalSpec],
+    specs: dict[int, ReciprocalSpec | int],
     jobs: int,
     cache: ResultCache | None,
 ) -> list[CacheRecord]:
-    """Records of the primes in specs, in input order; specs not yet records are counted."""
-    todo = [s for s in specs.values() if not isinstance(s, CacheRecord)]
+    """Records of the primes in specs, in input order.
+
+    A value of specs is a cached record, a spec to count, or the prime itself
+    to classify and count.  The misses are counted in ascending chunks, and
+    each chunk is appended to the cache as soon as it is counted.
+    """
+    todo = [specs[p] for p in sorted(specs) if not isinstance(specs[p], CacheRecord)]
     if todo:
         # more workers than cores or than primes to compute only cost start-up
         workers = min(jobs, os.cpu_count() or 1, len(todo))
-        if workers > 1:
-            chunk = max(1, len(todo) // (workers * 8))
-            # multiprocessing here, not at the top: cache-served commands never
-            # start a pool.  The kernel's numpy is imported once, before the fork;
-            # importing it in each worker measured slower in wall and CPU time.
-            import multiprocessing
+        size = max(1, len(todo) // (workers * 8))
+        chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                # multiprocessing here, not at the top: cache-served commands never
+                # start a pool.  The kernel's numpy is imported once, before the fork;
+                # importing it in each worker measured slower in wall and CPU time.
+                import multiprocessing
 
-            import numpy  # noqa: F401
+                import numpy  # noqa: F401
 
-            with multiprocessing.Pool(workers) as pool:
-                lines = pool.map(_count, todo, chunksize=chunk)
-        else:
-            lines = [_count(s) for s in todo]
-        computed = CacheRecord.from_lines(lines)  # checked as loading checks them
-        for rec in computed:
-            specs[rec.p] = rec
-        if cache is not None:
-            cache.append_many(sorted(computed, key=lambda r: r.p))
+                pool = stack.enter_context(multiprocessing.Pool(workers))
+                results = pool.imap(_count_chunk, chunks)
+            else:
+                results = map(_count_chunk, chunks)
+            sieve = _Primes()  # grown once over the ascending chunks
+            for lines in results:
+                # checked as loading checks them, and appended as these lines
+                computed = (CacheRecord._from_lines(lines, sieve) if cache is None
+                            else cache._append_lines(lines, sieve))
+                for rec in computed:
+                    specs[rec.p] = rec
     return [specs[p] for p in primes if p in specs]
 
 
@@ -114,11 +133,18 @@ def batch_records(
 ) -> list[CacheRecord]:
     """Records of the primes whose spec keep accepts (all by default), in input order.
 
-    The returned list depends only on the input primes, not on the cache.
+    Without keep, each miss is classified where it is counted, in the pool for
+    jobs > 1.  With keep, the misses are classified here first, so that those
+    it drops start no pool.  The returned list depends only on the input
+    primes, not on the cache.
     """
-    specs = _classified(primes, cache)
     if keep is not None:
-        specs = {p: s for p, s in specs.items() if keep(s)}
+        specs = {p: s for p, s in _classified(primes, cache).items() if keep(s)}
+    else:
+        specs = {}
+        for p in primes:
+            rec = cache.lookup(p) if cache is not None else None
+            specs[p] = p if rec is None else rec
     return _counted(primes, specs, jobs, cache)
 
 

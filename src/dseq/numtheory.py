@@ -1,7 +1,8 @@
 """Integer primitives: prime enumeration, primality, factorization, multiplicative order.
 
 Everything here is a pure function of its arguments and safe to call from
-any number of workers concurrently.
+any number of workers concurrently; ``factorize`` keeps the primes it
+trial-divides by, sieved once per process and grown on demand.
 
 ``is_prime`` is a Miller-Rabin test with two witness sets: bases {2, 3}
 are exact below 1,373,653 (C. Pomerance, J. L. Selfridge, S. S. Wagstaff,
@@ -24,8 +25,12 @@ __all__ = [
     "multiplicative_order",
 ]
 
-# Small primes used both for trial-division shortcuts and as first wheel spokes.
+# Small primes whose multiples is_prime rejects before Miller-Rabin.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factorize's trial divisors: a bound and every prime up to it, ascending.  Each
+# process grows its own on demand; a pair, so that it is replaced in one step.
+_divisors: tuple[int, list[int]] = (1, [])
 
 # Miller-Rabin witness sets (see the module docstring): {2, 3} is exact below
 # _MR_BOUND_2_3, the 7-witness set for every n < 2^64.
@@ -98,29 +103,31 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by wheel trial division (fine up to ~10^12)."""
+    """Factor n >= 1 by trial division by the primes up to sqrt(n) (fine up to ~10^12)."""
+    global _divisors
     if n < 1:
         raise ValueError(f"cannot factorize {n}: must be >= 1")
+    root = math.isqrt(n)
+    bound, primes = _divisors
+    if root > bound:
+        # at least doubled, so that rising n sieve O(sqrt(n)) numbers in all
+        bound = max(root, 2 * bound)
+        primes = sieve_primes(bound)
+        _divisors = bound, primes
     remaining = n
     factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while remaining % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            remaining //= p
-    # 2/3/5-wheel over the residues coprime to 30, aligned to start at 41.
-    increments = (2, 4, 2, 4, 6, 2, 6, 4)
-    d, i = 41, 0
-    while d * d <= remaining:
-        if remaining % d == 0:
+    for p in primes:
+        if p > root:
+            break
+        if remaining % p == 0:
             e = 0
-            while remaining % d == 0:
+            while remaining % p == 0:
                 e += 1
-                remaining //= d
-            factors[d] = e
-        d += increments[i]
-        i = (i + 1) % 8
+                remaining //= p
+            factors[p] = e
+            root = math.isqrt(remaining)
     if remaining > 1:
-        factors[remaining] = factors.get(remaining, 0) + 1
+        factors[remaining] = 1
     return Factorization(n, factors)
 
 

@@ -25,11 +25,13 @@ the cached p fill densely enough to pay for it, and from Miller-Rabin
 elsewhere.  A prime listed twice must have the same record both times.
 ``CacheRecord(...)``, ``from_line`` and ``from_lines`` run the loader's own
 block function on the lines they stand for, so the writer refuses exactly
-what the reader refuses.  The census workers return lines, and the records
-it appends are the ones ``from_lines`` reads back from them.
+what the reader refuses.  The census workers return lines, and the cache
+appends the records it reads back from them as those very lines.
 
-Concurrency contract: one writer, any number of readers.  Parallel census
-workers hand their results to the single owning process, which appends.
+Concurrency contract: any number of processes may read and append.  Each
+``append_many`` is one write under an exclusive ``fcntl.flock``; under the
+lock, a tail with no line break can only be torn, and is clipped first.  A
+record that two writers both append is an identical duplicate, which loads.
 """
 from __future__ import annotations
 
@@ -145,7 +147,12 @@ class CacheRecord(ReciprocalSpec):
     @classmethod
     def from_lines(cls, lines: list[str]) -> list["CacheRecord"]:
         """The records of these lines; ValueError unless every line would load."""
-        records, primes = [], _Primes()
+        return cls._from_lines(lines, _Primes())
+
+    @classmethod
+    def _from_lines(cls, lines: list[str], primes: "_Primes") -> list["CacheRecord"]:
+        """from_lines with primality from primes, a sieve shared across calls."""
+        records = []
         for i in range(0, len(lines), _BLOCK_LINES):
             block, failure = _block_records("\n".join(lines[i:i + _BLOCK_LINES]), primes.flags)
             if failure is not None:
@@ -216,6 +223,11 @@ def _block_records(block: str, prime_flags: Callable[[list[int]], list]
     return CacheRecord._checked(islice(zip(p, l, period, counts), good)), failure
 
 
+def _clean_end(data: bytes) -> int:
+    """The byte length of data up to its last line break."""
+    return max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+
+
 class ResultCache:
     """Line-oriented cache file with an in-memory index.
 
@@ -228,16 +240,15 @@ class ResultCache:
         self.path = os.fspath(path)
         self._records: dict[int, CacheRecord] = {}
         self._fh = None
-        self._clip_to: int | None = None  # byte length of the clean prefix
+        self._read: dict[int, str] = {}  # lines that _append_lines has checked, by p
         self._load()
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
-        # bytes, so that the clip offset is a byte offset whatever the line ends
         with open(self.path, "rb") as fh:
             data = fh.read()
-        end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        end = _clean_end(data)
         try:
             text = data[:end].decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -252,7 +263,6 @@ class ResultCache:
                 "%s:%d: skipping truncated final line %r",
                 self.path, text.count("\n") + 1, data[end:].decode("utf-8", "replace"),
             )
-            self._clip_to = end
         if not text:
             return
         start = text.index("\n") + 1
@@ -283,17 +293,27 @@ class ResultCache:
                     f"{self.path}:{idx}: conflicting records for prime {rec.p}"
                 )
 
-    def _writer(self):
+    def _write(self, text: str) -> None:
+        """Append text in one locked write and flush, after the header on an empty file."""
+        import fcntl  # here, not at the top: commands that only read never load it
+
         if self._fh is None:
-            if self._clip_to is not None:
-                # drop the truncated tail before writing anything new
-                os.truncate(self.path, self._clip_to)
-                self._clip_to = None
-            fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                self._fh.write(CACHE_HEADER + "\n")
-        return self._fh
+            self._fh = open(self.path, "ab+")
+        fd = self._fh.fileno()
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            # no writer is part-way through a write now, so a tail with no line
+            # break is torn (by this or another process): clip it
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) not in (b"\n", b"\r"):
+                size = _clean_end(os.pread(fd, size, 0))
+                os.ftruncate(fd, size)
+            if size == 0:
+                text = CACHE_HEADER + "\n" + text
+            self._fh.write(text.encode("utf-8"))
+            self._fh.flush()
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
 
     def lookup(self, p: int) -> CacheRecord | None:
         return self._records.get(p)
@@ -303,21 +323,35 @@ class ResultCache:
         self.append_many([record])
 
     def append_many(self, records: Iterable[CacheRecord]) -> None:
-        fh = None
-        for rec in records:
-            existing = self._records.get(rec.p)
-            if existing is not None:
-                if existing != rec:
-                    raise CacheCorruptionError(
-                        f"new record for prime {rec.p} disagrees with cached one "
-                        f"(cached values are pure functions of p; this is a bug)"
-                    )
-                continue
-            fh = self._writer()
-            fh.write(rec.to_line() + "\n")
-            self._records[rec.p] = rec
-        if fh is not None:
-            fh.flush()
+        """Add the new records in one write (see append)."""
+        new = []
+        try:
+            for rec in records:
+                existing = self._records.get(rec.p)
+                if existing is not None:
+                    if existing != rec:
+                        raise CacheCorruptionError(
+                            f"new record for prime {rec.p} disagrees with cached one "
+                            f"(cached values are pure functions of p; this is a bug)"
+                        )
+                    continue
+                new.append(self._read.get(rec.p) or rec.to_line())
+                self._records[rec.p] = rec
+        finally:
+            if new:
+                self._write("\n".join(new) + "\n")
+
+    def _append_lines(self, lines: list[str], primes: _Primes) -> list[CacheRecord]:
+        """The records of these lines, as CacheRecord._from_lines; the new ones are
+        appended as these very lines, through append_many."""
+        records = CacheRecord._from_lines(lines, primes)
+        # a line that loads is its record's to_line(), so the pairing is by p alone
+        self._read = {rec.p: line for rec, line in zip(records, lines)}
+        try:
+            self.append_many(records)
+        finally:
+            self._read = {}
+        return records
 
     def __len__(self) -> int:
         return len(self._records)

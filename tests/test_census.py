@@ -119,14 +119,30 @@ def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, items, chunksize=1):
-            return [fn(x) for x in items]
+        def imap(self, fn, items):
+            return map(fn, items)
 
     monkeypatch.setattr(dseq.census.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     recs = batch_records(primes, jobs=jobs)
     assert asked == ([] if size is None else [size])
     assert recs == batch_records(primes)
+
+
+@pytest.mark.parametrize("run", [
+    lambda jobs: verify_range(3000, jobs=jobs),  # specs classified in the parent
+    lambda jobs: main(["figure", "3000", "csv", "--no-cache", "--jobs", str(jobs)]),  # primes
+], ids=["verify_range", "figure"])
+def test_pool_works_under_spawn(monkeypatch, capsys, run):
+    # a spawned worker imports dseq afresh and unpickles the task and its chunk
+    import multiprocessing
+
+    import dseq.census
+
+    monkeypatch.setattr(dseq.census.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    pooled = run(2), capsys.readouterr().out
+    assert pooled == (run(1), capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("run", [

@@ -9,7 +9,7 @@ from dseq.census import ODD, OTHER, ClassKey, batch_records, census_primes, clas
 from dseq.cli import main
 from dseq.invariants import RuleReport, RuleStats, VerificationSummary
 from dseq.sequence import _full_length_counts, long_division_digits
-from dseq.store import CACHE_HEADER
+from dseq.store import CACHE_HEADER, ResultCache
 
 
 @pytest.fixture(autouse=True)
@@ -423,3 +423,78 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
     assert result["numpy"] is False
     assert result["multiprocessing"] is False
     assert result["outs"] == [list(run_cli(capsys, *argv)[:2]) for argv in commands]
+
+
+def test_interrupted_cold_run_keeps_finished_chunks(capsys, tmp_path, monkeypatch):
+    import dseq.census
+
+    argv = ["figure", "3000", "csv", "--jobs", "1"]
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli(capsys, *argv, "--cache", str(fresh))[0] == 0
+    expected_out = run_cli(capsys, *argv, "--no-cache")[1]
+
+    primes = census_primes(3000)
+    chunk = len(primes) // 8  # one worker cuts the misses into eight chunks
+    histogram, calls = dseq.census.histogram, []
+
+    def interrupted(spec):
+        calls.append(spec.p)
+        if len(calls) > chunk + chunk // 2:  # in the middle of the second chunk
+            raise KeyboardInterrupt
+        return histogram(spec)
+
+    path = tmp_path / "c.csv"
+    monkeypatch.setattr(dseq.census, "histogram", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--cache", str(path)])
+    monkeypatch.undo()
+    lines = fresh.read_text().splitlines(keepends=True)
+    assert path.read_text() == "".join(lines[:1 + chunk])  # the first chunk, ascending
+
+    assert run_cli(capsys, *argv, "--cache", str(path))[:2] == (0, expected_out)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def _dseq(*argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.Popen([sys.executable, "-m", "dseq.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, **kwargs)
+
+
+def test_killed_pool_run_resumes_to_the_same_bytes(tmp_path):
+    import signal
+    import time
+
+    argv = ["figure", "30000", "csv", "--jobs", "2"]
+    fresh, path = tmp_path / "fresh.csv", tmp_path / "c.csv"
+    expected_out = _dseq(*argv, "--cache", str(fresh)).communicate()[0]
+    child = _dseq(*argv, "--cache", str(path), start_new_session=True)
+    # kill the run and its workers as soon as the first chunk is on disk
+    while child.poll() is None and (not path.exists()
+                                    or path.stat().st_size <= len(CACHE_HEADER) + 1):
+        time.sleep(0.001)
+    if child.poll() is None:
+        os.killpg(child.pid, signal.SIGKILL)
+    child.communicate()
+    assert 0 < path.stat().st_size < fresh.stat().st_size
+
+    rerun = _dseq(*argv, "--cache", str(path))
+    assert rerun.communicate()[0] == expected_out
+    assert rerun.returncode == 0
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_two_writers_share_one_cache(tmp_path):
+    path = str(tmp_path / "c.csv")
+    writers = [_dseq("figure", "20000", "csv", "--jobs", "2", "--cache", path)
+               for _ in range(2)]
+    outs = [w.communicate()[0] for w in writers]
+    assert [w.returncode for w in writers] == [0, 0]
+    assert outs[0] == outs[1]
+    with ResultCache(path) as cache:  # loads, duplicates and all
+        assert len(cache) == len(census_primes(20000))
+    verify = ["verify", "20000", "json"]
+    shared = _dseq(*verify, "--cache", path, stderr=subprocess.PIPE).communicate()
+    fresh = _dseq(*verify, "--cache", str(tmp_path / "fresh.csv"),
+                  stderr=subprocess.PIPE).communicate()
+    assert shared == fresh

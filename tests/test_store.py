@@ -16,7 +16,7 @@ from dseq.sequence import (
     _full_length_counts,
     histogram,
 )
-from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
+from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache, _Primes
 
 
 def _record(p: int) -> CacheRecord:
@@ -148,6 +148,49 @@ def test_torn_tail_after_crlf_lines_clipped_by_bytes(tmp_path):
         assert len(cache) == 6
         assert cache.lookup(19) == _record(19)
         assert cache.lookup(23) == _record(23)
+
+
+def test_torn_tail_kept_when_another_writer_appended_since_load(tmp_path):
+    # two caches load the same torn file; the first to write clips the tail and
+    # appends, so the second must not clip again at the offset it loaded
+    path = tmp_path / "c.csv"
+    path.write_text(f"{CACHE_HEADER}\n{REC_601.to_line()}\n7,7,6")
+    first, second = ResultCache(path), ResultCache(path)
+    with first:
+        first.append_many([_record(p) for p in (3, 7, 11, 13, 17, 19)])
+    with second:
+        second.append(REC_7)  # the same record again: a legal identical duplicate
+    assert path.read_text().endswith(f"{_record(19).to_line()}\n{REC_7.to_line()}\n")
+    with ResultCache(path) as cache:
+        assert len(cache) == 7
+        assert cache.lookup(19) == _record(19)
+
+
+def test_torn_tail_written_after_load_is_clipped(tmp_path):
+    # another writer, killed mid-write, leaves a partial line after this cache
+    # loaded a clean file; the next append must not join its line onto it
+    path = tmp_path / "c.csv"
+    path.write_text(f"{CACHE_HEADER}\n{REC_601.to_line()}\n")
+    with ResultCache(path) as cache:
+        with path.open("a") as other:
+            other.write(_record(3).to_line()[:5])
+        cache.append(REC_7)
+    assert path.read_text() == f"{CACHE_HEADER}\n{REC_601.to_line()}\n{REC_7.to_line()}\n"
+    with ResultCache(path) as cache:
+        assert len(cache) == 2
+
+
+def test_checked_lines_written_as_they_are(tmp_path, monkeypatch):
+    # the cache appends the lines it has just checked as they are, unformatted
+    lines = [_record(p).to_line() for p in (3, 7, 601)]
+    path = tmp_path / "c.csv"
+    with ResultCache(path) as cache:
+        cache.append(REC_7)
+        monkeypatch.setattr(CacheRecord, "to_line", None)
+        records = cache._append_lines(lines, _Primes())  # 7 is an identical re-append
+    assert records == [_record(p) for p in (3, 7, 601)]
+    assert path.read_text() == "".join(
+        line + "\n" for line in [CACHE_HEADER, lines[1], lines[0], lines[2]])
 
 
 def test_empty_file_is_fresh(tmp_path):
