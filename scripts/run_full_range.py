@@ -5,6 +5,8 @@ for every prime up to 999983, writing the artifacts into an output directory.
 Usage:
     python scripts/run_full_range.py [--outdir OUT] [--jobs N] [--cache PATH]
 
+Without --cache, dseq's own default applies: $DSEQ_CACHE, then ./dseq-cache.csv.
+
 With a warm cache this is a few minutes of work; cold, expect the census of
 78496 primes to dominate the runtime.
 """
@@ -30,12 +32,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="artifact directory")
     parser.add_argument("--jobs", type=int, default=4)
-    parser.add_argument("--cache", default="dseq-cache.csv")
+    parser.add_argument("--cache", help="cache file (default: dseq's own)")
     args = parser.parse_args()
 
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    common = ["--cache", args.cache, "--jobs", str(args.jobs)]
+    common = (["--cache", args.cache] if args.cache else []) + ["--jobs", str(args.jobs)]
 
     codes = [
         run_to_file(["verify", "--full-range", "json"] + common,

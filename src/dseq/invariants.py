@@ -22,13 +22,18 @@ m = p // 10, the catalog is:
   HL9O  f(0)+f(9) = m, other pairs m+1; f(1)=f(5)=f(6); f(3)=f(4)=f(8);
         max digit in {0,2}, min digit in {7,9}
 
-Each sub-check carries an enforcement level.  HARD checks are algebraic
-identities (period totals, full-length closed forms) and must always hold.
-STRONG checks are observed to hold universally over every range verified so
-far but carry no proof; a violation is reported as data, never an abort.
-SOFT checks are frequency observations ("usually the maximum"); only pass
-rates are reported.  Max/min checks are skipped for p <= 10, where one-digit
-periods make ties meaningless.
+The parts of these rules that are theorems are one HARD sub-check,
+``period``, shared by all twelve: ``sequence._broken_period``, which the
+cache also runs on every record it loads or writes.  It holds each rule's
+period total, the FL closed forms (f = N_p, with N_p(d) = m plus an offset
+fixed by the last digit), the mirrors of HL3O, HL7O and HL9E (Midy) and the
+pair sums of HL1O, HL3E, HL7E and HL9O (f(d) + f(9-d) = N_p(d)).  So the FL
+rules have nothing left to check, and ``RULES`` lists only the rest: equal
+groups and extremes.  STRONG checks are observed to hold universally over
+every range verified so far but carry no proof; a violation is reported as
+data, never an abort.  SOFT checks are frequency observations ("usually the
+maximum"); only pass rates are reported.  Max/min checks are skipped for
+p <= 10, where one-digit periods make ties meaningless.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .census import batch_records, census_primes
-from .sequence import FULL, HALF, DigitHistogram, ReciprocalSpec, _full_length_counts
+from .sequence import FULL, HALF, DigitHistogram, ReciprocalSpec, _broken_period
 from .store import ResultCache
 
 __all__ = [
@@ -55,12 +60,6 @@ __all__ = [
 HARD = "hard"
 STRONG = "strong"
 SOFT = "soft"
-
-RULE_IDS = (
-    "FL1", "FL3", "FL7", "FL9",
-    "HL1E", "HL1O", "HL3E", "HL3O",
-    "HL7E", "HL7O", "HL9E", "HL9O",
-)
 
 # Below this, max/min sub-checks are skipped (degenerate periods are all ties).
 _EXTREMES_MIN_P = 10
@@ -87,42 +86,6 @@ def _equal_group(name: str, level: str, digits: tuple[int, ...]) -> SubCheck:
         return None if len({f[d] for d in digits}) == 1 else _fmt(f, digits)
 
     return SubCheck(name, level, run)
-
-
-def _comp_sums(name: str, level: str, digits: tuple[int, ...]) -> SubCheck:
-    """f(d) + f(9-d) = N_p(d) for each d in digits, which share one N_p(d)."""
-    def run(p: int, f: Counts) -> str | None:
-        expected = _full_length_counts(p)[digits[0]]
-        if all(f[d] + f[9 - d] == expected for d in digits):
-            return None
-        obs = " ".join(f"f({d})+f({9-d})={f[d]+f[9-d]}" for d in digits)
-        return f"{obs} expected {expected}"
-
-    return SubCheck(name, level, run)
-
-
-def _mirror(name: str, level: str) -> SubCheck:
-    def run(p: int, f: Counts) -> str | None:
-        bad = [d for d in range(5) if f[d] != f[9 - d]]
-        return _fmt(f, [x for d in bad for x in (d, 9 - d)]) if bad else None
-
-    return SubCheck(name, level, run)
-
-
-def _period_total(name: str) -> SubCheck:
-    def run(p: int, f: Counts) -> str | None:
-        total = sum(f)
-        return None if total == (p - 1) // 2 else f"total={total} expected {(p - 1) // 2}"
-
-    return SubCheck(name, HARD, run)
-
-
-def _closed_form(name: str) -> SubCheck:
-    def run(p: int, f: Counts) -> str | None:
-        expected = _full_length_counts(p)
-        return None if f == expected else f"counts={f} expected {expected}"
-
-    return SubCheck(name, HARD, run)
 
 
 def _extreme_set(f: Counts, kind: str) -> set[int]:
@@ -155,12 +118,8 @@ _GROUPS_09_SIX = (frozenset({0, 9}), frozenset(_SIX))
 _GROUPS_36_SIX = (frozenset({3, 6}), frozenset(_SIX))
 
 RULES: dict[str, tuple[SubCheck, ...]] = {
-    "FL1": (_closed_form("closed_form"),),
-    "FL3": (_closed_form("closed_form"),),
-    "FL7": (_closed_form("closed_form"),),
-    "FL9": (_closed_form("closed_form"),),
+    "FL1": (), "FL3": (), "FL7": (), "FL9": (),  # all in the period check
     "HL1E": (
-        _period_total("total_5m"),
         _equal_group("f0_f9", STRONG, (0, 9)),
         _equal_group("f124578", STRONG, _SIX),
         _equal_group("f3_f6", STRONG, (3, 6)),
@@ -168,17 +127,12 @@ RULES: dict[str, tuple[SubCheck, ...]] = {
         _extreme_in("min_group", SOFT, "min", _GROUPS_36_SIX),
     ),
     "HL1O": (
-        _period_total("total_5m"),
-        _comp_sums("pair_sums_m", STRONG, (0, 1, 2, 3, 4)),
         _equal_group("f1_f5_f6", STRONG, (1, 5, 6)),
         _equal_group("f3_f4_f8", STRONG, (3, 4, 8)),
         _extreme_in("max_in_02", STRONG, "max", (frozenset({0, 2}),)),
         _extreme_in("min_in_79", STRONG, "min", (frozenset({7, 9}),)),
     ),
     "HL3E": (
-        _period_total("total_5m_plus_1"),
-        _comp_sums("pair_sums_m", STRONG, (0, 1, 2, 4)),
-        _comp_sums("pair36_sum_m_plus_1", STRONG, (3,)),
         _equal_group("f0_f9", STRONG, (0, 9)),
         _equal_group("f1_f4_f7", STRONG, (1, 4, 7)),
         _equal_group("f2_f5_f8", STRONG, (2, 5, 8)),
@@ -186,45 +140,33 @@ RULES: dict[str, tuple[SubCheck, ...]] = {
         _extreme_unique("min_is_6", STRONG, "min", 6),
     ),
     "HL3O": (
-        _period_total("total_5m_plus_1"),
-        _mirror("mirror", STRONG),
         _extreme_in("max_pair", SOFT, "max", _PAIRS_SOFT_MAX),
         _extreme_in("min_pair", SOFT, "min", _PAIRS_SOFT_MIN),
     ),
     "HL7E": (
-        _period_total("total_5m_plus_3"),
-        _comp_sums("pair09_sum_m", STRONG, (0,)),
-        _comp_sums("pair36_sum_m", STRONG, (3,)),
-        _comp_sums("pair_sums_m_plus_1", STRONG, (1, 2, 4)),
         _equal_group("f1_f4_f7", STRONG, (1, 4, 7)),
         _equal_group("f2_f5_f8", STRONG, (2, 5, 8)),
         _extreme_unique("max_is_3", STRONG, "max", 3),
         _extreme_unique("min_is_6", STRONG, "min", 6),
     ),
     "HL7O": (
-        _period_total("total_5m_plus_3"),
-        _mirror("mirror", STRONG),
         _extreme_in("max_pair", SOFT, "max", _PAIRS_SOFT_MAX),
         _extreme_in("min_pair", SOFT, "min", _PAIRS_SOFT_MIN),
     ),
     "HL9E": (
-        _period_total("total_5m_plus_4"),
-        _mirror("mirror", STRONG),
         _equal_group("f1_f2_f4", STRONG, (1, 2, 4)),
         _equal_group("f5_f7_f8", STRONG, (5, 7, 8)),
         _extreme_in("max_group", SOFT, "max", _GROUPS_09_SIX),
         _extreme_in("min_group", SOFT, "min", _GROUPS_36_SIX),
     ),
     "HL9O": (
-        _period_total("total_5m_plus_4"),
-        _comp_sums("pair09_sum_m", STRONG, (0,)),
-        _comp_sums("pair_sums_m_plus_1", STRONG, (1, 2, 3, 4)),
         _equal_group("f1_f5_f6", STRONG, (1, 5, 6)),
         _equal_group("f3_f4_f8", STRONG, (3, 4, 8)),
         _extreme_in("max_in_02", STRONG, "max", (frozenset({0, 2}),)),
         _extreme_in("min_in_79", STRONG, "min", (frozenset({7, 9}),)),
     ),
 }
+RULE_IDS = tuple(RULES)  # in catalog order, as verify prints them
 
 
 def applicable_rule(spec: ReciprocalSpec) -> str | None:
@@ -260,9 +202,10 @@ def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
             f"no rule applies to {spec.p} (cofactor {spec.cofactor})"
         )
     p, f = spec.p, hist.counts
-    hard = strong = True
+    broken = _broken_period(p, spec.period, f)
+    hard, strong = broken is None, True
     soft: dict[str, bool] = {}
-    details: list[str] = []
+    details = [] if hard else [f"{HARD} period: {broken}"]
     for chk in RULES[rule]:
         if chk.extremal and p <= _EXTREMES_MIN_P:
             continue
@@ -270,10 +213,7 @@ def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
         if chk.level == SOFT:
             soft[chk.name] = failure is None
         elif failure is not None:
-            if chk.level == HARD:
-                hard = False
-            else:
-                strong = False
+            strong = False
             details.append(f"{chk.level} {chk.name}: {failure}")
     return RuleReport(p, rule, hard, strong, soft, tuple(details))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
 from .numtheory import is_prime, multiplicative_order
@@ -197,6 +198,28 @@ def _full_length_counts(p: int) -> tuple[int, ...]:
     m = p // 10
     a, b, c, d, e, f, g, h, i, j = _FULL_LENGTH_OFFSETS[p % 10]
     return (m + a, m + b, m + c, m + d, m + e, m + f, m + g, m + h, m + i, m + j)
+
+
+def _broken_period(p: int, period: int, f: tuple[int, ...]) -> str | None:
+    """Why the counts f cannot be the histogram of a period of 1/p, or None.
+
+    They sum to the period T, and three lemmas fix more: f = N_p at full
+    length (T = p - 1); f(d) = f(9-d) for an even T (Midy: 10^(T/2) = -1
+    mod p); and f(d) + f(9-d) = N_p(d) for an odd T = (p-1)/2 (-1 is then
+    not a power of 10, so the powers and their negatives are every unit once).
+    """
+    if sum(f) != period:
+        return f"counts sum to {sum(f)}, period is {period}"
+    if period == p - 1:
+        if f != _full_length_counts(p):
+            return f"full length, but counts {f} are not N_p = {_full_length_counts(p)}"
+    elif period % 2 == 0:
+        if f != f[::-1]:
+            return f"period {period} is even, but counts {f} are not mirrored"
+    elif 2 * period == p - 1 and tuple(map(add, f, f[::-1])) != _full_length_counts(p):
+        return (f"period {period} = (p-1)/2 is odd, but counts {f} do not "
+                f"complement to N_p = {_full_length_counts(p)}")
+    return None
 
 
 def _count_digits(p: int, n: int) -> list[int]:

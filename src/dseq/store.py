@@ -11,12 +11,10 @@ when it is 14 plain decimal integers (no sign, and no ``+5``, ``05`` or
 ``5_0``, which ``int`` would read) and one checker, ``_first_broken``,
 passes its fields column by column:
 
-- p <= PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, counts that sum to T, and
-  p prime;
-- the proven lemmas: f = N_p at full length (T = p - 1); f(d) = f(9-d) for
-  an even T (Midy: 10^(T/2) = -1 mod p); and f(d) + f(9-d) = N_p(d) for an
-  odd T = (p-1)/2 (-1 is then not a power of 10, so the powers and their
-  negatives are every unit once).
+- p <= PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, and p prime;
+- the counts can be a period histogram of 1/p: ``sequence._broken_period``
+  checks that they sum to T and obey the proven lemmas (N_p at full length,
+  the Midy mirror for an even T, the complement for an odd T = (p-1)/2).
 
 Loading runs it on blocks of about 64 KiB (some 1,100 lines), each parsed by
 one ``json.loads``; the row it returns names the first bad line as
@@ -40,11 +38,11 @@ import os
 import re
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import add, eq, indexOf, is_, is_not, itemgetter, le, mod, mul, sub
+from operator import eq, indexOf, is_, is_not, itemgetter, le, mod, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .numtheory import is_prime, prime_mask
-from .sequence import _L_FOR_LSD, PRIME_CAP, ReciprocalSpec, _full_length_counts
+from .sequence import _L_FOR_LSD, PRIME_CAP, ReciprocalSpec, _broken_period
 
 __all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache"]
 
@@ -70,20 +68,6 @@ class CacheCorruptionError(Exception):
     """The cache file disagrees with itself or with a new record."""
 
 
-def _broken_lemma(p: int, period: int, f: tuple[int, ...]) -> str | None:
-    """The lemma that the counts f of a period of 1/p contradict, or None."""
-    if period == p - 1:
-        if f != _full_length_counts(p):
-            return f"full length, but counts {f} are not N_p = {_full_length_counts(p)}"
-    elif period % 2 == 0:
-        if f != f[::-1]:
-            return f"period {period} is even, but counts {f} are not mirrored"
-    elif 2 * period == p - 1 and tuple(map(add, f, f[::-1])) != _full_length_counts(p):
-        return (f"period {period} = (p-1)/2 is odd, but counts {f} do not "
-                f"complement to N_p = {_full_length_counts(p)}")
-    return None
-
-
 def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence,
                   counts: Sequence, prime: Sequence) -> tuple[int, str] | None:
     """The first row that breaks a record rule, with that rule's message, or None.
@@ -103,11 +87,9 @@ def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence
          lambda i: f"l={l[i]} does not invert -{p[i]} mod 10"),
         (lambda: map(eq, map(mul, cofactor, period), map(sub, p, repeat(1))),
          lambda i: f"cofactor {cofactor[i]} * period {period[i]} != p - 1"),
-        (lambda: map(eq, map(sum, counts), period),
-         lambda i: f"counts sum to {sum(counts[i])}, period is {period[i]}"),
         (lambda: prime, lambda i: "not prime"),
-        (lambda: map(is_, map(_broken_lemma, p, period, counts), repeat(None)),
-         lambda i: _broken_lemma(p[i], period[i], counts[i])),
+        (lambda: map(is_, map(_broken_period, p, period, counts), repeat(None)),
+         lambda i: _broken_period(p[i], period[i], counts[i])),
     )
     rows, found = len(p), None
     for oks, message in rules:

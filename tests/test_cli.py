@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,7 +10,11 @@ from dseq.census import ODD, OTHER, ClassKey, batch_records, census_primes, clas
 from dseq.cli import main
 from dseq.invariants import RuleReport, RuleStats, VerificationSummary
 from dseq.sequence import _full_length_counts, long_division_digits
-from dseq.store import CACHE_HEADER, ResultCache
+from dseq.store import CACHE_HEADER, CacheRecord, ResultCache
+
+from conftest import DATA_DIR, golden_rows
+
+SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
 
 
 @pytest.fixture(autouse=True)
@@ -280,6 +285,25 @@ def test_cache_flag_overrides_env(capsys, isolated_cwd, monkeypatch):
     run_cli(capsys, "tables", "1", "--cache", str(target))
     assert target.exists()
     assert not (isolated_cwd / "env-cache.csv").exists()
+
+
+def test_table_export_honours_env_cache(isolated_cwd):
+    # the cache holds the panel primes of tables 1-7, so the export computes
+    # only table 8's and appends them to the file that $DSEQ_CACHE names
+    mine = isolated_cwd / "mine.csv"
+    held = dict(row for n in range(1, 8) for row in golden_rows(n))
+    mine.write_text(CACHE_HEADER + "\n" + "".join(
+        CacheRecord(spec.p, spec.l, spec.period, held[spec.p]).to_line() + "\n"
+        for spec in map(classify, sorted(held))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), DSEQ_CACHE=str(mine))
+    subprocess.run([sys.executable, str(SCRIPTS / "export_class_tables.py"), "--outdir", "out"],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
+    assert not (isolated_cwd / "dseq-cache.csv").exists()
+    with ResultCache(mine) as cache:
+        assert len(cache) == len(held) + len(golden_rows(8))
+    for n in range(1, 9):
+        assert (isolated_cwd / "out" / f"table{n}.csv").read_text() == \
+            (DATA_DIR / f"table{n}.csv").read_text()
 
 
 def test_corrupt_cache_exit_three(capsys, tmp_path):

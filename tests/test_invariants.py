@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dseq.census import classify
@@ -18,6 +18,7 @@ from dseq.sequence import (
     histogram,
     long_division_digits,
 )
+from dseq.store import CacheRecord
 
 from conftest import golden_rows
 
@@ -70,7 +71,7 @@ def test_check_perturbed_601_fails_hard():
     report = check_histogram(prof, DigitHistogram(tuple(counts)))
     assert not report.hard_passed
     assert not report.strong_passed
-    assert any("total_5m" in d for d in report.details)
+    assert any("period" in d for d in report.details)
     assert any("f0_f9" in d for d in report.details)
 
 
@@ -115,6 +116,36 @@ def test_rules_hold_on_real_histograms(p):
     assert report.strong_passed, report.details
 
 
+FULL_OR_HALF = [p for p in sieve_primes(20_000)
+                if p not in (2, 5) and ReciprocalSpec.for_prime(p).cofactor in (1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FULL_OR_HALF), st.data())
+def test_hard_verdict_is_the_cache_verdict(p, data):
+    spec = ReciprocalSpec.for_prime(p)
+    counts = list(histogram(spec).counts)
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+        # a lone move from a to b, or with the mirrored move that keeps the
+        # counts mirrored, or with the one that keeps their pair sums
+        moves = data.draw(st.sampled_from([[(a, b)], [(a, b), (9 - a, 9 - b)],
+                                           [(a, b), (9 - b, 9 - a)]]))
+        k = data.draw(st.integers(0, min(counts[src] for src, _ in moves)))
+        for src, dst in moves:
+            counts[src] -= k
+            counts[dst] += k
+    assume(min(counts) >= 0)
+    report = check_histogram(spec, DigitHistogram(tuple(counts)))
+    try:
+        CacheRecord(p, spec.l, spec.period, tuple(counts))
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert report.hard_passed == accepted, report.details
+
+
 def test_verify_range_small(session_cache):
     summary = verify_range(1000, cache=session_cache)
     assert summary.limit == 1000
@@ -156,37 +187,40 @@ def test_verify_range_soft_rates(session_cache):
 PERTURBED = [
     pytest.param(
         601, {0: +1}, "HL1E", False, False,
-        ("hard total_5m: total=301 expected 300",
+        ("hard period: counts sum to 301, period is 300",
          "strong f0_f9: f(0)=36 f(9)=35"),
         {"max_group": True, "min_group": True},
         id="period_total-equal_group",
     ),
     pytest.param(
         17, {1: +1, 2: -1}, "FL7", False, True,
-        ("hard closed_form: counts=(1, 3, 1, 1, 2, 2, 1, 2, 2, 1) "
-         "expected (1, 2, 2, 1, 2, 2, 1, 2, 2, 1)",),
+        ("hard period: full length, but counts (1, 3, 1, 1, 2, 2, 1, 2, 2, 1) "
+         "are not N_p = (1, 2, 2, 1, 2, 2, 1, 2, 2, 1)",),
         {},
         id="closed_form",
     ),
     pytest.param(
-        911, {0: -12, 5: +12}, "HL1O", True, False,
-        ("strong pair_sums_m: f(0)+f(9)=79 f(1)+f(8)=91 f(2)+f(7)=91 "
-         "f(3)+f(6)=91 f(4)+f(5)=103 expected 91",
+        911, {0: -12, 5: +12}, "HL1O", False, False,
+        ("hard period: period 455 = (p-1)/2 is odd, but counts "
+         "(46, 47, 50, 44, 44, 59, 47, 41, 44, 33) do not complement to "
+         "N_p = (91, 91, 91, 91, 91, 91, 91, 91, 91, 91)",
          "strong f1_f5_f6: f(1)=47 f(5)=59 f(6)=47",
          "strong max_in_02: max digits [5]"),
         {},
         id="comp_sums-extreme_in",
     ),
     pytest.param(
-        5413, {4: +30, 1: -30}, "HL3O", True, False,
-        ("strong mirror: f(1)=237 f(8)=267 f(4)=289 f(5)=259",),
+        5413, {4: +30, 1: -30}, "HL3O", False, True,
+        ("hard period: period 2706 is even, but counts "
+         "(278, 237, 282, 267, 289, 259, 267, 282, 267, 278) are not mirrored",),
         {"max_pair": False, "min_pair": True},
         id="mirror-soft_extreme_in",
     ),
     pytest.param(
-        2203, {4: +26, 1: -26}, "HL3E", True, False,
-        ("strong pair_sums_m: f(0)+f(9)=220 f(1)+f(8)=194 f(2)+f(7)=220 "
-         "f(4)+f(5)=246 expected 220",
+        2203, {4: +26, 1: -26}, "HL3E", False, False,
+        ("hard period: period 1101 = (p-1)/2 is odd, but counts "
+         "(110, 75, 119, 127, 127, 119, 94, 101, 119, 110) do not complement to "
+         "N_p = (220, 220, 220, 221, 220, 220, 221, 220, 220, 220)",
          "strong f1_f4_f7: f(1)=75 f(4)=127 f(7)=101",
          "strong max_is_3: max digits [3, 4] (tie)",
          "strong min_is_6: min digits [1]"),

@@ -9,6 +9,7 @@ from dseq.sequence import (
     PRIME_CAP,
     DigitHistogram,
     ReciprocalSpec,
+    _full_length_counts,
     digit_prefix,
     histogram,
     l_multiplier,
@@ -154,6 +155,25 @@ def test_formula_equals_long_division(p):
     spec = ReciprocalSpec.for_prime(p)
     n = min(spec.period, 200)
     assert list(digit_prefix(spec, n)) == long_division_digits(p, n)
+
+
+HALF_LENGTH_PRIMES = [p for p in sieve_primes(20_000)
+                      if p not in (2, 5) and 2 * ReciprocalSpec.for_prime(p).period == p - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(HALF_LENGTH_PRIMES))
+def test_half_length_times_two_and_five_relations(p):
+    # H = <10> is the subgroup of squares.  r -> 2r mod p maps the residues of
+    # digits d and d+5 onto those of 2d and 2d+1 (d < 5), and r -> 5r mod p maps
+    # the residues of even digits onto those below p/2.  2H and 5H are H when
+    # 5 is a square, that is when p ends in 1 or 9, and the non-squares, which
+    # digit e has N_p(e) - f(e) of, otherwise.
+    f = _long_division_counts(ReciprocalSpec.for_prime(p))
+    n_p = _full_length_counts(p)
+    h = f if p % 10 in (1, 9) else tuple(n - c for n, c in zip(n_p, f))
+    assert [f[d] + f[d + 5] for d in range(5)] == [h[2 * d] + h[2 * d + 1] for d in range(5)]
+    assert sum(f[0::2]) == sum(h[:5])
 
 
 def test_kernel_exact_at_prime_cap():
