@@ -3,6 +3,8 @@
 Every command writes deterministic bytes for a given invocation: worker
 count and cache state never change output.  Exit codes: 0 success, 1 usage
 or input error, 2 hard rule failure found by `verify`, 3 cache corruption.
+Exit code 2 cannot occur on a cache that loads: the one hard check, `period`,
+is the record check that loading (else 3) and counting (else 1) already apply.
 """
 from __future__ import annotations
 

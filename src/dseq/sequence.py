@@ -6,12 +6,26 @@ l is the single digit with ``l*p = 9 (mod 10)``; equivalently it is
 long-division generator is kept alongside as an independent oracle.
 
 A period histogram therefore counts the subgroup ``H = <10>`` of (Z/p)* in
-the ten intervals ``[d*p/10, (d+1)*p/10)``, and ``histogram`` uses that in
-three branches: full-length primes (``H`` is the whole group) get a closed
-form; an even period needs only its first half, because Midy's theorem gives
-``r_{i+T/2} = p - r_i``, which maps digit d to 9 - d; an odd period is
-counted whole.  Counting runs long division on about 2**13 residues at a
-time in two buffers, so its memory does not grow with p.
+the ten intervals ``[d*p/10, (d+1)*p/10)``, and there are four ways to
+count it:
+
+- full length (``H`` is the whole group): the closed form ``N_p``;
+- an even period: only its first half is counted, because Midy's theorem
+  gives ``r_{i+T/2} = p - r_i``, which maps digit d to 9 - d;
+- an odd period T = (p-1)/2, p > 3 (so p = 3 mod 4, and ``H`` is the
+  quadratic residues): two class numbers h = h(-p) and g = h(-5p) give
+  f(d) = N_p(d)/2 + c(d) with c(9-d) = -c(d), where 8c(0..4) is
+  (4h-2g, g, 3g, -g, -g) for p = 7 (mod 8) and
+  (0, 6h-g, -6h+g, 6h+g, 6h-g) for p = 3 (mod 8) (B. C. Berndt, *Classical
+  theorems on quadratic residues*, 1976; K. Girstmair, *The digits of 1/p
+  in connection with class number factors*, Acta Arith. 67, 1994).  The
+  census counts these primes, up to a bound, in ``classnumber``;
+- any other period is counted whole.
+
+``histogram`` takes the first, second and last branch, and counts every odd
+period whole, so it stays the oracle of the third.  Counting runs long
+division on about 2**13 residues at a time in two buffers, so its memory
+does not grow with p.
 
 numpy is imported inside the counting kernel, not here: commands served
 from the results cache never count digits, and importing numpy would be a

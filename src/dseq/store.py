@@ -27,9 +27,12 @@ what the reader refuses.  The census workers return lines, and the cache
 appends the records it reads back from them as those very lines.
 
 Concurrency contract: any number of processes may read and append.  Each
-``append_many`` is one write under an exclusive ``fcntl.flock``; under the
-lock, a tail with no line break can only be torn, and is clipped first.  A
-record that two writers both append is an identical duplicate, which loads.
+``append_many`` is one write under an exclusive ``fcntl.flock``.  Under the
+lock, a tail with no line break can only be torn, and is clipped first; then
+the lines that other writers appended since this process last read the file
+are checked and indexed as loading would, and only the records still new are
+written.  So each prime is written once, and a record that contradicts
+another writer's raises ``CacheCorruptionError``.
 """
 from __future__ import annotations
 
@@ -205,6 +208,11 @@ def _block_records(block: str, prime_flags: Callable[[list[int]], list]
     return CacheRecord._checked(islice(zip(p, l, period, counts), good)), failure
 
 
+def _conflict(p: int) -> str:
+    return (f"new record for prime {p} disagrees with cached one "
+            f"(cached values are pure functions of p; this is a bug)")
+
+
 def _clean_end(data: bytes) -> int:
     """The byte length of data up to its last line break."""
     return max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
@@ -223,6 +231,8 @@ class ResultCache:
         self._records: dict[int, CacheRecord] = {}
         self._fh = None
         self._read: dict[int, str] = {}  # lines that _append_lines has checked, by p
+        self._end = 0  # bytes of the file read so far, all whole lines
+        self._lines = 0  # and their number
         self._load()
 
     def _load(self) -> None:
@@ -231,12 +241,7 @@ class ResultCache:
         with open(self.path, "rb") as fh:
             data = fh.read()
         end = _clean_end(data)
-        try:
-            text = data[:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CacheCorruptionError(f"{self.path}: not UTF-8 text: {exc}") from exc
-        # universal newlines, as text mode would read them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = self._decoded(data[:end])
         if end < len(data):
             # no trailing newline: an interrupted writer left a partial line
             import logging
@@ -245,15 +250,31 @@ class ResultCache:
                 "%s:%d: skipping truncated final line %r",
                 self.path, text.count("\n") + 1, data[end:].decode("utf-8", "replace"),
             )
+        self._index(text, end)
+
+    def _decoded(self, data: bytes) -> str:
+        """data as text with universal newlines, as text mode would read it."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CacheCorruptionError(f"{self.path}: not UTF-8 text: {exc}") from exc
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+
+    def _index(self, text: str, size: int) -> None:
+        """Check and index text, the whole lines that follow what this cache has
+        read of the file (from the header on, if nothing), size bytes of it."""
+        self._end += size
         if not text:
             return
-        start = text.index("\n") + 1
-        if text[: start - 1] != CACHE_HEADER:
-            raise CacheCorruptionError(
-                f"{self.path}: unrecognized header {text[: start - 1]!r}"
-            )
+        start = 0
+        if self._lines == 0:
+            start = text.index("\n") + 1
+            if text[: start - 1] != CACHE_HEADER:
+                raise CacheCorruptionError(
+                    f"{self.path}: unrecognized header {text[: start - 1]!r}"
+                )
         primes = _Primes()
-        lineno = 2
+        lineno = self._lines + 1 + (start > 0)
         while start < len(text):
             stop = text.find("\n", start + _BLOCK_CHARS)
             if stop < 0:
@@ -264,6 +285,7 @@ class ResultCache:
                 raise CacheCorruptionError(f"{self.path}:{lineno + failure[0]}: {failure[1]}")
             lineno += len(records)
             start = stop + 1
+        self._lines = lineno - 1
 
     def _add_loaded(self, records: list[CacheRecord], lineno: int) -> None:
         """Index the records of the lines from lineno on; a conflicting one is corruption."""
@@ -275,8 +297,14 @@ class ResultCache:
                     f"{self.path}:{idx}: conflicting records for prime {rec.p}"
                 )
 
-    def _write(self, text: str) -> None:
-        """Append text in one locked write and flush, after the header on an empty file."""
+    def _write(self, records: dict[int, CacheRecord]) -> None:
+        """Append the records (by p) that are still new in one locked write and
+        flush, after the header on an empty file.
+
+        Under the lock, the records that other writers appended since this cache
+        last saw the end of the file are checked and indexed first, as loading
+        would, so that none of theirs is written twice.
+        """
         import fcntl  # here, not at the top: commands that only read never load it
 
         if self._fh is None:
@@ -290,10 +318,25 @@ class ResultCache:
             if size and os.pread(fd, 1, size - 1) not in (b"\n", b"\r"):
                 size = _clean_end(os.pread(fd, size, 0))
                 os.ftruncate(fd, size)
+            if size < self._end:
+                raise CacheCorruptionError(
+                    f"{self.path}: shrank to {size} bytes from the {self._end} read")
+            theirs = os.pread(fd, size - self._end, self._end)
+            self._index(self._decoded(theirs), len(theirs))
+            index = self._records
+            for p, rec in records.items():
+                if index.get(p, rec) != rec:
+                    raise CacheCorruptionError(_conflict(p))
+            new = [rec for p, rec in records.items() if p not in index]
+            text = "".join((self._read.get(rec.p) or rec.to_line()) + "\n" for rec in new)
             if size == 0:
                 text = CACHE_HEADER + "\n" + text
-            self._fh.write(text.encode("utf-8"))
+            data = text.encode("utf-8")
+            self._fh.write(data)
             self._fh.flush()
+            self._end += len(data)
+            self._lines += text.count("\n")
+            index.update((rec.p, rec) for rec in new)
         finally:
             fcntl.flock(fd, fcntl.LOCK_UN)
 
@@ -306,22 +349,17 @@ class ResultCache:
 
     def append_many(self, records: Iterable[CacheRecord]) -> None:
         """Add the new records in one write (see append)."""
-        new = []
+        new: dict[int, CacheRecord] = {}
         try:
             for rec in records:
-                existing = self._records.get(rec.p)
-                if existing is not None:
-                    if existing != rec:
-                        raise CacheCorruptionError(
-                            f"new record for prime {rec.p} disagrees with cached one "
-                            f"(cached values are pure functions of p; this is a bug)"
-                        )
-                    continue
-                new.append(self._read.get(rec.p) or rec.to_line())
-                self._records[rec.p] = rec
+                existing = self._records.get(rec.p) or new.get(rec.p)
+                if existing is None:
+                    new[rec.p] = rec
+                elif existing != rec:
+                    raise CacheCorruptionError(_conflict(rec.p))
         finally:
             if new:
-                self._write("\n".join(new) + "\n")
+                self._write(new)
 
     def _append_lines(self, lines: list[str], primes: _Primes) -> list[CacheRecord]:
         """The records of these lines, as CacheRecord._from_lines; the new ones are

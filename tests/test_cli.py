@@ -155,9 +155,10 @@ def test_verify_jobs_transparency(capsys):
 def test_verify_exit_two_on_hard_failure(capsys, monkeypatch):
     bad = VerificationSummary(
         limit=10,
-        rules={"FL1": RuleStats(checked=1, hard_failures=1)},
-        violations=[RuleReport(7, "FL1", False, True, {},
-                               ("hard closed_form: expected differs",))],
+        rules={"FL7": RuleStats(checked=1, hard_failures=1)},
+        violations=[RuleReport(7, "FL7", False, True, {},
+                               ("hard period: full length, but counts (1, 1, 1, 1, 1, 1, "
+                                "0, 0, 0, 0) are not N_p = (0, 1, 1, 0, 1, 1, 0, 1, 1, 0)",))],
     )
     monkeypatch.setattr("dseq.cli.verify_range", lambda limit, jobs, cache: bad)
     code, out, _ = run_cli(capsys, "verify", "10", "json", "--no-cache")

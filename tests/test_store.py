@@ -159,10 +159,13 @@ def test_torn_tail_kept_when_another_writer_appended_since_load(tmp_path):
     with first:
         first.append_many([_record(p) for p in (3, 7, 11, 13, 17, 19)])
     with second:
-        second.append(REC_7)  # the same record again: a legal identical duplicate
-    assert path.read_text().endswith(f"{_record(19).to_line()}\n{REC_7.to_line()}\n")
+        # 7 is the first's by now, so only 23 is written
+        second.append_many([REC_7, _record(23)])
+    text = path.read_text()
+    assert text.endswith(f"{_record(19).to_line()}\n{_record(23).to_line()}\n")
+    assert text.count(f"\n{REC_7.to_line()}\n") == 1
     with ResultCache(path) as cache:
-        assert len(cache) == 7
+        assert len(cache) == 8
         assert cache.lookup(19) == _record(19)
 
 
@@ -178,6 +181,51 @@ def test_torn_tail_written_after_load_is_clipped(tmp_path):
     assert path.read_text() == f"{CACHE_HEADER}\n{REC_601.to_line()}\n{REC_7.to_line()}\n"
     with ResultCache(path) as cache:
         assert len(cache) == 2
+
+
+def test_two_caches_on_one_file_write_each_prime_once(tmp_path):
+    path = tmp_path / "c.csv"
+    first, second = ResultCache(path), ResultCache(path)
+    with first, second:
+        first.append_many([_record(p) for p in (3, 7, 11)])
+        second.append_many([_record(p) for p in (7, 11, 13)])  # 7 and 11 are the first's
+        first.append_many([_record(p) for p in (13, 17)])  # 13 is the second's
+        second.append(_record(19))
+        assert second.lookup(3) == _record(3)  # read when the second wrote
+        assert first.lookup(19) is None  # not yet read by the first
+    assert path.read_text().splitlines() == [
+        CACHE_HEADER, *(_record(p).to_line() for p in (3, 7, 11, 13, 17, 19))]
+
+
+# 601's counts with f(0) and f(3) swapped, and f(9) and f(6): mirrored and summing
+# to the period, so the line loads, but they are not 601's
+_WRONG_601 = "601,9,300,2,31,28,28,35,28,28,35,28,28,31"
+
+
+def test_other_writers_lines_are_checked_before_writing(tmp_path):
+    path = tmp_path / "c.csv"
+    with ResultCache(path) as cache:
+        cache.append(REC_7)
+        with path.open("a") as other:
+            other.write(_WRONG_601 + "\n")
+        with pytest.raises(CacheCorruptionError, match="new record for prime 601 disagrees"):
+            cache.append(REC_601)
+    assert path.read_text() == f"{CACHE_HEADER}\n{REC_7.to_line()}\n{_WRONG_601}\n"
+    with ResultCache(path) as cache:
+        with path.open("a") as other:
+            other.write("13,3,6,2\n")
+        with pytest.raises(CacheCorruptionError, match=r"c\.csv:4: not 14 plain decimal"):
+            cache.append(_record(11))
+
+
+def test_file_cut_below_what_was_read_is_corruption(tmp_path):
+    path = tmp_path / "c.csv"
+    with ResultCache(path) as cache:
+        cache.append_many([REC_7, REC_601])
+        path.write_text(f"{CACHE_HEADER}\n")
+        with pytest.raises(CacheCorruptionError, match="shrank"):
+            cache.append(_record(11))
+    assert path.read_text() == f"{CACHE_HEADER}\n"
 
 
 def test_checked_lines_written_as_they_are(tmp_path, monkeypatch):
