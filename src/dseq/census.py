@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from .numtheory import sieve_primes
@@ -33,6 +33,7 @@ from .sequence import (
     ClassKey,
     DigitHistogram,
     ReciprocalSpec,
+    _numpy,
     histogram,
 )
 from .store import CacheRecord, ResultCache, _line, _Primes
@@ -133,8 +134,7 @@ def _counted(
                 # in wall and CPU time.
                 import multiprocessing
 
-                import numpy  # noqa: F401
-
+                _numpy()
                 from . import classnumber  # noqa: F401
 
                 pool = stack.enter_context(multiprocessing.Pool(workers))
@@ -210,28 +210,24 @@ def global_digit_census(
     """
     if limit < 2:
         raise ValueError(f"census limit must be >= 2, got {limit}")
-    totals = [0] * 10
-    for rec in batch_records(census_primes(limit), jobs=jobs, cache=cache):
-        if include_other or rec.cofactor <= 2:
-            for d, c in enumerate(rec.counts):
-                totals[d] += c
-    return DigitHistogram(tuple(totals))
+    records = batch_records(census_primes(limit), jobs=jobs, cache=cache)
+    counts = [rec.counts for rec in records if include_other or rec.cofactor <= 2]
+    return DigitHistogram(tuple(map(sum, zip(*counts))) if counts else (0,) * 10)
 
 
-@dataclass(frozen=True)
-class ParityCell:
-    """Observed hundreds-digit parities for one (lsd, tens digit) cell."""
+class ParityCell(namedtuple("ParityCell", "parities count")):
+    """Observed hundreds-digit parities (a tuple of str) for one (lsd, tens digit) cell."""
 
-    parities: tuple[str, ...]
-    count: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParityScanReport:
-    """Hundreds-digit parity sets of half-length primes, per (lsd, tens digit)."""
+class ParityScanReport(namedtuple("ParityScanReport", "limit entries")):
+    """Hundreds-digit parity sets of half-length primes, per (lsd, tens digit).
 
-    limit: int
-    entries: dict[tuple[int, int], ParityCell]
+    ``entries`` maps each (lsd, tens digit) cell to its ParityCell.
+    """
+
+    __slots__ = ()
 
 
 def third_digit_parity_scan(

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from .sequence import _full_length_counts, _numpy
 
-from .sequence import _full_length_counts
+np = _numpy()
 
 __all__ = ["RootTables", "class_numbers", "odd_half_counts", "table_entries_to_add"]
 

@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .census import (
     ClassKey,
@@ -23,10 +24,11 @@ from .census import (
     global_digit_census,
     third_digit_parity_scan,
 )
-from .invariants import VerificationSummary, verify_range
 from .sequence import DigitHistogram, ReciprocalSpec, digit_prefix
 from .store import CacheCorruptionError, CacheRecord, ResultCache
-from .tables import table_rows
+
+if TYPE_CHECKING:  # imported by the commands that use them
+    from .invariants import VerificationSummary
 
 __all__ = ["main", "run"]
 
@@ -43,6 +45,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _nonnegative(text: str) -> int:
+    """A limit: plain decimal digits, as a positional limit is recognized."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _positive(text: str) -> int:
@@ -69,7 +78,7 @@ def _add_run_options(p: argparse.ArgumentParser, *, full_range: bool = False) ->
 def _add_limit_format(p: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
     # one optional-positional pool: an integer is the limit, a word the format
     p.add_argument("positional", nargs="*", metavar="[limit] [format]")
-    p.add_argument("--limit", dest="limit_opt", type=int, default=None)
+    p.add_argument("--limit", dest="limit_opt", type=_nonnegative, default=None)
     p.add_argument("--format", dest="format_opt", choices=choices, default=None)
     p.set_defaults(format_choices=choices)
 
@@ -350,6 +359,8 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .tables import table_rows  # here: only this command imports the panels
+
     with _open_cache(args) as cache:
         rows = table_rows(args.number, jobs=args.jobs, cache=cache)
     _emit(_rows_csv(rows))
@@ -379,6 +390,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .invariants import verify_range  # here: only this command checks rules
+
     limit, fmt = _resolve_limit_format(args)
     with _open_cache(args) as cache:
         summary = verify_range(limit, jobs=args.jobs, cache=cache)

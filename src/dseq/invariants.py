@@ -37,11 +37,19 @@ p <= 10, where one-digit periods make ties meaningless.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
 
 from .census import batch_records, census_primes
-from .sequence import FULL, HALF, DigitHistogram, ReciprocalSpec, _broken_period
+from .sequence import (
+    EVEN,
+    FULL,
+    HALF,
+    ODD,
+    ClassKey,
+    DigitHistogram,
+    ReciprocalSpec,
+    _broken_period,
+)
 from .store import ResultCache
 
 __all__ = [
@@ -67,14 +75,10 @@ _EXTREMES_MIN_P = 10
 Counts = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SubCheck:
+class SubCheck(namedtuple("SubCheck", "name level run extremal", defaults=(False,))):
     """One named check; ``run(p, f)`` is None when it holds, else the observed detail."""
 
-    name: str
-    level: str
-    run: Callable[[int, Counts], str | None]
-    extremal: bool = False
+    __slots__ = ()
 
 
 def _fmt(f: Counts, digits) -> str:
@@ -169,26 +173,30 @@ RULES: dict[str, tuple[SubCheck, ...]] = {
 RULE_IDS = tuple(RULES)  # in catalog order, as verify prints them
 
 
+# The rule id of each full- and half-length class key.
+_RULE_BY_KEY = {
+    ClassKey(lsd, parity, length):
+        f"FL{lsd}" if length == FULL else f"HL{lsd}{'E' if parity == EVEN else 'O'}"
+    for lsd in (1, 3, 7, 9)
+    for parity in (EVEN, ODD)
+    for length in (FULL, HALF)
+}
+
+
 def applicable_rule(spec: ReciprocalSpec) -> str | None:
     """Rule id for a full- or half-length prime, None for the rest."""
-    key = spec.key
-    if key.length_class == FULL:
-        return f"FL{key.lsd}"
-    if key.length_class == HALF:
-        return f"HL{key.lsd}{'E' if key.second_parity == 'even' else 'O'}"
-    return None
+    return _RULE_BY_KEY.get(spec.key)
 
 
-@dataclass(frozen=True)
-class RuleReport:
-    """Outcome of every sub-check of one rule against one prime's histogram."""
+class RuleReport(namedtuple("RuleReport",
+                            "p rule hard_passed strong_passed soft_outcomes details")):
+    """Outcome of every sub-check of one rule against one prime's histogram.
 
-    p: int
-    rule: str
-    hard_passed: bool
-    strong_passed: bool
-    soft_outcomes: dict[str, bool]
-    details: tuple[str, ...]
+    ``soft_outcomes`` maps each soft sub-check run to whether it held, and
+    ``details`` is a tuple of the failing sub-checks' text.
+    """
+
+    __slots__ = ()
 
 
 def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
@@ -218,24 +226,29 @@ def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
     return RuleReport(p, rule, hard, strong, soft, tuple(details))
 
 
-@dataclass
-class RuleStats:
-    """Aggregate tallies for one rule over a verified range."""
+class RuleStats(namedtuple("RuleStats",
+                           "checked hard_failures strong_failures soft_passed soft_checked")):
+    """Aggregate tallies for one rule over a verified range.
 
-    checked: int = 0
-    hard_failures: int = 0
-    strong_failures: int = 0
-    soft_passed: dict[str, int] = field(default_factory=dict)
-    soft_checked: dict[str, int] = field(default_factory=dict)
+    ``soft_passed`` and ``soft_checked`` count by soft sub-check name; each
+    defaults to a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, checked: int = 0, hard_failures: int = 0, strong_failures: int = 0,
+                soft_passed: dict[str, int] | None = None,
+                soft_checked: dict[str, int] | None = None) -> "RuleStats":
+        return super().__new__(cls, checked, hard_failures, strong_failures,
+                               {} if soft_passed is None else soft_passed,
+                               {} if soft_checked is None else soft_checked)
 
 
-@dataclass
-class VerificationSummary:
-    """Range-level outcome: per-rule tallies plus every failing report."""
+class VerificationSummary(namedtuple("VerificationSummary", "limit rules violations")):
+    """Range-level outcome: per-rule tallies (RuleStats by rule id) plus every
+    failing report (a list of RuleReport)."""
 
-    limit: int
-    rules: dict[str, RuleStats]
-    violations: list[RuleReport]
+    __slots__ = ()
 
     @property
     def hard_failures(self) -> int:
@@ -252,20 +265,43 @@ def verify_range(
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> VerificationSummary:
-    """Check every full- and half-length prime <= limit against its rule."""
+    """Check every full- and half-length prime <= limit against its rule.
+
+    Each rule's sub-checks, the period check among them, run over all of
+    that rule's records at once, with the functions ``check_histogram``
+    runs; only a record that fails one goes through ``check_histogram``, for
+    its report.
+    """
     records = batch_records(census_primes(limit), jobs=jobs, cache=cache,
                             keep=lambda spec: spec.cofactor in (1, 2))
-    stats = {rule: RuleStats() for rule in RULE_IDS}
-    violations: list[RuleReport] = []
-    for rec in records:
-        report = check_histogram(rec, rec)  # a record carries its own counts
-        st = stats[report.rule]
-        st.checked += 1
-        st.hard_failures += not report.hard_passed
-        st.strong_failures += not report.strong_passed
-        for name, ok in report.soft_outcomes.items():
-            st.soft_checked[name] = st.soft_checked.get(name, 0) + 1
-            st.soft_passed[name] = st.soft_passed.get(name, 0) + ok
-        if not (report.hard_passed and report.strong_passed):
-            violations.append(report)
+    members: dict[str, list[int]] = {rule: [] for rule in RULE_IDS}  # indices into records
+    for i, rec in enumerate(records):
+        members[applicable_rule(rec)].append(i)
+    stats, failed = {}, set()
+    for rule, rows in members.items():
+        ps = [records[i].p for i in rows]
+        fs = [records[i].counts for i in rows]
+        periods = [records[i].period for i in rows]
+        hard = [i for i, broken in zip(rows, map(_broken_period, ps, periods, fs))
+                if broken is not None]
+        # the rows that extremal sub-checks run on, as columns
+        ranked = tuple(zip(*((i, p, f) for i, p, f in zip(rows, ps, fs)
+                             if p > _EXTREMES_MIN_P))) or ((), (), ())
+        strong: set[int] = set()
+        soft_passed, soft_checked = {}, {}
+        for chk in RULES[rule]:
+            rows_c, ps_c, fs_c = ranked if chk.extremal else (rows, ps, fs)
+            if not rows_c:
+                continue
+            bad = [i for i, failure in zip(rows_c, map(chk.run, ps_c, fs_c))
+                   if failure is not None]
+            if chk.level == SOFT:
+                soft_checked[chk.name] = len(rows_c)
+                soft_passed[chk.name] = len(rows_c) - len(bad)
+            else:
+                strong.update(bad)
+        stats[rule] = RuleStats(len(rows), len(hard), len(strong), soft_passed, soft_checked)
+        failed.update(hard, strong)
+    # a record carries its own counts
+    violations = [check_histogram(records[i], records[i]) for i in sorted(failed)]
     return VerificationSummary(limit, stats, violations)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Factorization",
@@ -38,14 +38,12 @@ _MR_BOUND_2_3 = 1_373_653
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "n factors")):
     """Prime factorization of a positive integer: n = prod(p**e)."""
 
-    n: int
-    factors: dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.n < 1:
             raise ValueError(f"cannot factorize {self.n}: must be >= 1")
         prod = 1

@@ -30,11 +30,18 @@ does not grow with p.
 numpy is imported inside the counting kernel, not here: commands served
 from the results cache never count digits, and importing numpy would be a
 large share of their run time.
+
+The records here and in the other modules are namedtuples with validating
+``__init__`` methods: immutable, compared and hashed by their fields, without
+a per-instance dict, and unpickled without being checked again.  Importing
+``dataclasses`` pulls in ``inspect`` and took a fresh process about 16 ms
+(Python 3.11), more than a warm ``profile`` spends on its own work.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from operator import add
 from typing import Iterator
 
@@ -89,15 +96,12 @@ def l_multiplier(p: int) -> int:
     return _L_FOR_LSD[p % 10]
 
 
-@dataclass(frozen=True)
-class ClassKey:
+class ClassKey(namedtuple("ClassKey", "lsd second_parity length_class")):
     """(last digit, tens-digit parity, length class) of a prime."""
 
-    lsd: int
-    second_parity: str
-    length_class: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.lsd not in (1, 3, 7, 9):
             raise ValueError(f"last digit must be 1, 3, 7 or 9, got {self.lsd}")
         if self.second_parity not in (EVEN, ODD):
@@ -106,19 +110,16 @@ class ClassKey:
             raise ValueError(f"bad length class {self.length_class!r}")
 
 
-@dataclass(frozen=True)
-class ReciprocalSpec:
+class ReciprocalSpec(namedtuple("ReciprocalSpec", "p l period")):
     """A prime p with its multiplier digit l and period T = ord_p(10).
 
     The cofactor k = (p-1)/T and the class key are derived: k is 1 for a
     full-length prime, 2 for a half-length one.
     """
 
-    p: int
-    l: int
-    period: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if self.p > PRIME_CAP:
             raise ValueError(f"{self.p} exceeds the supported cap {PRIME_CAP}")
         if _L_FOR_LSD.get(self.p % 10) != self.l:
@@ -156,13 +157,12 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class DigitHistogram:
+class DigitHistogram(namedtuple("DigitHistogram", "counts")):
     """Counts of the digits 0-9 over some stretch of a reciprocal sequence."""
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if len(self.counts) != 10 or any(c < 0 for c in self.counts):
             raise ValueError(f"need 10 nonnegative counts, got {self.counts}")
 
@@ -236,6 +236,18 @@ def _broken_period(p: int, period: int, f: tuple[int, ...]) -> str | None:
     return None
 
 
+def _numpy():
+    """numpy, imported with one OpenBLAS thread unless the environment names a count.
+
+    dseq calls no BLAS routine, and the thread pool that OpenBLAS starts on
+    import costs CPU time in every counting process.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy
+
+    return numpy
+
+
 def _count_digits(p: int, n: int) -> list[int]:
     """Counts of floor(10 * r_i / p) over r_i = 10**i mod p, i = 0..n-1.
 
@@ -246,8 +258,7 @@ def _count_digits(p: int, n: int) -> list[int]:
     floor division, which numpy does several times faster than remainder for
     a uint64 scalar divisor.
     """
-    import numpy as np
-
+    np = _numpy()
     steps = -(-n // _LANES)
     lanes = -(-n // steps)
     # lane starts a**j mod p, a = 10**steps, as the product of a giant step

@@ -16,15 +16,21 @@ passes its fields column by column:
   checks that they sum to T and obey the proven lemmas (N_p at full length,
   the Midy mirror for an even T, the complement for an odd T = (p-1)/2).
 
-Loading runs it on blocks of about 64 KiB (some 1,100 lines), each parsed by
-one ``json.loads``; the row it returns names the first bad line as
-``path:line``.  Primality comes from one sieve, grown only over spans that
-the cached p fill densely enough to pay for it, and from Miller-Rabin
-elsewhere.  A prime listed twice must have the same record both times.
-``CacheRecord(...)``, ``from_line`` and ``from_lines`` run the loader's own
-block function on the lines they stand for, so the writer refuses exactly
-what the reader refuses.  The census workers return lines, and the cache
-appends the records it reads back from them as those very lines.
+Loading runs it on blocks of about 64 KiB (some 1,100 lines).  Deleting a
+block's digits must leave exactly 13 commas on every line and nothing else;
+the block is then one flat ``json.loads`` of its fields, and column j is
+``flat[j::14]``.  A block that fails either step is cut at its first line
+that is not 14 plain decimal integers, found by a regular expression, and
+the lines above it are parsed the same way.  The records are built straight
+from the columns, with no per-record dict.  The row ``_first_broken``
+returns names the first bad line as ``path:line``.  Primality comes from
+one sieve, grown only over spans that the cached p fill densely enough to
+pay for it, and from Miller-Rabin elsewhere.  A prime listed twice must have
+the same record both times.  ``CacheRecord(...)``, ``from_line`` and
+``from_lines`` run the loader's own block function on the lines they stand
+for, so the writer refuses exactly what the reader refuses.  The census
+workers return lines, and the cache appends the records it reads back from
+them as those very lines.
 
 Concurrency contract: any number of processes may read and append.  Each
 ``append_many`` is one write under an exclusive ``fcntl.flock``.  Under the
@@ -39,9 +45,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice, repeat
-from operator import eq, indexOf, is_, is_not, itemgetter, le, mod, mul, sub
+from operator import eq, indexOf, is_, is_not, le, mod, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .numtheory import is_prime, prime_mask
@@ -60,11 +66,15 @@ _BLOCK_LINES = 1024  # lines of one block that from_lines checks
 # line near PRIME_CAP) gets Miller-Rabin instead of a mask of up to 2 GB.
 _SIEVE_BOUND = 1 << 22
 
-# The start of the first line that is not 14 plain decimal integers.  A field
-# of 20 or more digits breaks some rule anyway; refusing it here spares int()
-# a string of thousands of digits.
+# What a line of 14 fields leaves when its digits are deleted.
+_SKELETON_ROW = b"," * 13 + b"\n"
+
+# The start of the first line that is not 14 plain decimal integers (for
+# re.search with re.M, compiled on first use).  A field of 20 or more digits
+# breaks some rule anyway; refusing it here spares int() a string of
+# thousands of digits.
 _FIELD = r"(?:0|[1-9][0-9]{0,18})"
-_FIRST_BAD_LINE = re.compile(rf"^(?!{_FIELD}(?:,{_FIELD}){{13}}$)", re.M)
+_FIRST_BAD_LINE = rf"^(?!{_FIELD}(?:,{_FIELD}){{13}}$)"
 
 
 class CacheCorruptionError(Exception):
@@ -107,17 +117,17 @@ def _line(p: int, l: int, period: int, cofactor: int, counts: tuple[int, ...]) -
     return ",".join(map(str, (p, l, period, cofactor, *counts)))
 
 
-@dataclass(frozen=True)
-class CacheRecord(ReciprocalSpec):
+class CacheRecord(namedtuple("CacheRecord", "p l period counts"), ReciprocalSpec):
     """A spec with the digit counts of its period: one line of the cache.
 
     The line also stores the cofactor (p-1)/period.  Making a record checks
-    its line as loading would, except in ``_checked`` on rows already checked.
+    its line as loading would; loading itself builds records of rows it has
+    already checked with ``tuple.__new__``.
     """
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         k = (self.p - 1) // self.period if self.period else 0
         self.from_lines([_line(self.p, self.l, self.period, k, self.counts)])
 
@@ -145,22 +155,6 @@ class CacheRecord(ReciprocalSpec):
             records += block
         return records
 
-    @classmethod
-    def _checked(cls, fields: Iterable[tuple]) -> list["CacheRecord"]:
-        """Records of (p, l, period, counts) that _first_broken has passed."""
-        # fields set one by one, as __init__ sets them: filling rec.__dict__ instead
-        # materializes a dict per record, 1.3 MB more for the 1e5 cache
-        new, setattr_ = object.__new__, object.__setattr__
-        records = []
-        for p, l, period, counts in fields:
-            rec = new(cls)
-            setattr_(rec, "p", p)
-            setattr_(rec, "l", l)
-            setattr_(rec, "period", period)
-            setattr_(rec, "counts", counts)
-            records.append(rec)
-        return records
-
 
 class _Primes:
     """Primality of cached p: one sieve, grown where the p are dense, and Miller-Rabin."""
@@ -182,30 +176,38 @@ class _Primes:
         return [mask[p] if 0 <= p < n else p <= PRIME_CAP and is_prime(p) for p in ps]
 
 
+def _fields(lines: str) -> list[int] | None:
+    """The fields of these lines in one list, or None unless every line is 14
+    plain decimal integers."""
+    # Only digits, and 13 commas a line: every field json reads is then a
+    # nonnegative int, and every line has 14 of them.
+    skeleton = lines.encode().translate(None, b"0123456789") + b"\n"
+    if skeleton != _SKELETON_ROW * (len(skeleton) // 14):
+        return None
+    try:
+        return json.loads("[" + lines.replace("\n", ",") + "]")
+    except ValueError:  # an empty field, or a leading zero
+        return None
+
+
 def _block_records(block: str, prime_flags: Callable[[list[int]], list]
                    ) -> tuple[list[CacheRecord], tuple[int, str] | None]:
     """The records of a block's lines above the first bad one, and _first_broken's failure."""
-    # Only digits, commas and newlines: every field json reads is then a
-    # nonnegative int, and no bracket can split or nest the rows.
-    rows = None
-    if not block.encode().translate(None, b"0123456789,\n"):
-        try:
-            rows = json.loads("[[" + block.replace("\n", "],[") + "]]")
-        except ValueError:  # an empty field, or a leading zero
-            pass
-    broken = rows is None or set(map(len, rows)) != {14}
+    flat = _fields(block)
+    broken = flat is None
     if broken:  # parse the lines above the first that is not 14 plain decimal integers
-        head = block[:_FIRST_BAD_LINE.search(block).start()]
-        rows = json.loads("[[" + head[:-1].replace("\n", "],[") + "]]") if head else []
-    p, l, period, cofactor = (list(map(itemgetter(i), rows)) for i in range(4))
-    counts = list(map(itemgetter(*range(4, 14)), rows))
+        head = block[:re.search(_FIRST_BAD_LINE, block, re.M).start()]
+        flat = _fields(head[:-1]) if head else []
+    p, l, period, cofactor = (flat[j::14] for j in range(4))
+    counts = list(zip(*(flat[j::14] for j in range(4, 14))))
     prime = prime_flags(p)
     if broken:  # that line: each field fails the first rule
         for column in (p, l, period, cofactor, counts, prime):
             column.append(None)
     failure = _first_broken(p, l, period, cofactor, counts, prime)
     good = len(p) if failure is None else failure[0]
-    return CacheRecord._checked(islice(zip(p, l, period, counts), good)), failure
+    rows = islice(zip(p, l, period, counts), good)
+    return list(map(tuple.__new__, repeat(CacheRecord), rows)), failure
 
 
 def _conflict(p: int) -> str:

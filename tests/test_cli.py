@@ -160,7 +160,8 @@ def test_verify_exit_two_on_hard_failure(capsys, monkeypatch):
                                ("hard period: full length, but counts (1, 1, 1, 1, 1, 1, "
                                 "0, 0, 0, 0) are not N_p = (0, 1, 1, 0, 1, 1, 0, 1, 1, 0)",))],
     )
-    monkeypatch.setattr("dseq.cli.verify_range", lambda limit, jobs, cache: bad)
+    # verify imports verify_range when it runs, so the patch is seen there
+    monkeypatch.setattr("dseq.invariants.verify_range", lambda limit, jobs, cache: bad)
     code, out, _ = run_cli(capsys, "verify", "10", "json", "--no-cache")
     assert code == 2
     data = json.loads(out)
@@ -221,6 +222,15 @@ def test_limit_flag_equals_positional(capsys):
     code, _, err = run_cli(capsys, "verify", "500", "--limit", "600", "--no-cache")
     assert code == 1
     assert "either positionally" in err
+    # --limit takes what a positional limit takes: plain decimal digits
+    census = ["--lsd", "1", "--parity", "even", "--length", "half"]
+    for command, extra in (("verify", []), ("figure", []), ("scan-parity", []),
+                           ("census", census)):
+        for bad in ("-5", "+5", "5_0", "5.0", "x"):
+            assert run_cli(capsys, command, *extra, bad, "--no-cache")[0] == 1
+            code, out, err = run_cli(capsys, command, *extra, "--limit", bad, "--no-cache")
+            assert (code, out) == (1, ""), (command, bad)
+            assert "--limit" in err
 
 
 def test_format_flag_equals_positional(capsys):
@@ -418,20 +428,20 @@ def test_unknown_command_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 1
 
 
-# Runs cache-served commands in a fresh interpreter; prints their stdout and
-# whether numpy and multiprocessing got imported.
-_NUMPY_FREE = """
+# Runs one cache-served command in a fresh interpreter; prints its exit code
+# and stdout, and which of the modules it was given got imported.
+_IMPORT_BUDGET = """
 import contextlib, io, json, sys
 from dseq.cli import main
-outs = []
-for argv in json.loads(sys.argv[1]):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    outs.append([code, buf.getvalue()])
-print(json.dumps({"numpy": "numpy" in sys.modules,
-                  "multiprocessing": "multiprocessing" in sys.modules, "outs": outs}))
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({"imported": [m for m in json.loads(sys.argv[2]) if m in sys.modules],
+                  "out": [code, buf.getvalue()]}))
 """
+
+# Modules that no warm command needs, except verify's own rule checks.
+_HEAVY = ["dataclasses", "inspect", "numpy", "multiprocessing", "dseq.invariants"]
 
 
 def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
@@ -439,15 +449,17 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-m", "dseq.cli", "figure", "2000", "--cache", cache],
                    check=True, env=env, stdout=subprocess.DEVNULL)
-    commands = [["verify", "2000", "json", "--cache", cache],
-                ["figure", "2000", "svg", "--cache", cache],
-                ["scan-parity", "2000", "--cache", cache]]
-    child = subprocess.run([sys.executable, "-c", _NUMPY_FREE, json.dumps(commands)],
-                           check=True, env=env, capture_output=True, text=True)
-    result = json.loads(child.stdout)
-    assert result["numpy"] is False
-    assert result["multiprocessing"] is False
-    assert result["outs"] == [list(run_cli(capsys, *argv)[:2]) for argv in commands]
+    commands = [(["verify", "2000", "json", "--cache", cache], ["dseq.invariants"]),
+                (["figure", "2000", "svg", "--cache", cache], []),
+                (["scan-parity", "2000", "--cache", cache], []),
+                (["profile", "601", "--cache", cache], [])]
+    for argv, allowed in commands:
+        child = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET, json.dumps(argv),
+                                json.dumps(_HEAVY)],
+                               check=True, env=env, capture_output=True, text=True)
+        result = json.loads(child.stdout)
+        assert result["imported"] == allowed, argv
+        assert result["out"] == list(run_cli(capsys, *argv)[:2])
 
 
 def test_interrupted_cold_run_keeps_finished_chunks(capsys, tmp_path, monkeypatch):

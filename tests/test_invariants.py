@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dseq.census import classify
+from dseq.census import batch_records, census_primes, classify
 from dseq.invariants import (
     RULE_IDS,
+    RuleStats,
     applicable_rule,
     check_histogram,
     verify_range,
@@ -18,7 +19,7 @@ from dseq.sequence import (
     histogram,
     long_division_digits,
 )
-from dseq.store import CacheRecord
+from dseq.store import CACHE_HEADER, CacheRecord, ResultCache
 
 from conftest import golden_rows
 
@@ -181,6 +182,40 @@ def test_verify_range_soft_rates(session_cache):
     assert 0 <= st_.soft_passed["max_group"] <= st_.soft_checked["max_group"]
     # soft outcomes never appear in violations
     assert summary.hard_failures == 0 and summary.strong_failures == 0
+
+
+def test_verify_range_tallies_equal_per_record_reports(tmp_path):
+    # the HL1E and HL9E records with p = 1 (mod 3) moved off their equal groups:
+    # f(1) and f(8) down one, f(2) and f(7) up one keeps the sum and the mirror,
+    # so the cache loads them
+    path = tmp_path / "c.csv"
+    lines = []
+    for rec in batch_records(census_primes(3000)):
+        counts = list(rec.counts)
+        if applicable_rule(rec) in ("HL1E", "HL9E") and counts[1] and rec.p % 3 == 1:
+            counts[1] -= 1
+            counts[8] -= 1
+            counts[2] += 1
+            counts[7] += 1
+        lines.append(CacheRecord(rec.p, rec.l, rec.period, tuple(counts)).to_line())
+    path.write_text("".join(f"{line}\n" for line in [CACHE_HEADER, *lines]))
+    with ResultCache(path) as cache:
+        summary = verify_range(3000, cache=cache)
+        records = [cache.lookup(p) for p in census_primes(3000)]
+    reports = [check_histogram(rec, rec) for rec in records if rec.cofactor in (1, 2)]
+    tallies = {rule: [0, 0, 0, {}, {}] for rule in RULE_IDS}
+    for report in reports:
+        t = tallies[report.rule]
+        t[0] += 1
+        t[1] += not report.hard_passed
+        t[2] += not report.strong_passed
+        for name, ok in report.soft_outcomes.items():
+            t[3][name] = t[3].get(name, 0) + ok
+            t[4][name] = t[4].get(name, 0) + 1
+    failing = [r for r in reports if not (r.hard_passed and r.strong_passed)]
+    assert {r.rule for r in failing} == {"HL1E", "HL9E"}
+    assert summary.rules == {rule: RuleStats(*t) for rule, t in tallies.items()}
+    assert summary.violations == failing
 
 
 # One perturbed real histogram per sub-check kind; the failure details are the

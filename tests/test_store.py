@@ -56,6 +56,48 @@ def test_line_round_trip():
         CacheRecord.from_line(line + ",1")
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: ReciprocalSpec(601, 9, 300), "p"),
+    (lambda: CacheRecord(601, 9, 300, (35, 28, 28, 31, 28, 28, 31, 28, 28, 35)), "counts"),
+    (lambda: ClassKey(1, EVEN, HALF), "lsd"),
+    (lambda: DigitHistogram((35, 28, 28, 31, 28, 28, 31, 28, 28, 35)), "counts"),
+], ids=["ReciprocalSpec", "CacheRecord", "ClassKey", "DigitHistogram"])
+def test_records_are_frozen_hashable_and_pickle(make, field):
+    import pickle
+
+    record, twin = make(), make()
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)
+
+
+def test_cache_record_refuses_what_loading_refuses(tmp_path):
+    swapped = (28, 35, 28, 31, 28, 28, 31, 28, 28, 35)  # breaks the mirror lemma
+    with pytest.raises(ValueError) as made:
+        CacheRecord(601, 9, 300, swapped)
+    with pytest.raises(ValueError) as made_by_name:
+        CacheRecord(p=601, l=9, period=300, counts=swapped)
+    path = tmp_path / "c.csv"
+    path.write_text(f"{CACHE_HEADER}\n601,9,300,2,{','.join(map(str, swapped))}\n")
+    with pytest.raises(CacheCorruptionError) as loaded:
+        ResultCache(path)
+    assert str(loaded.value) == f"{path}:2: {made.value}" == f"{path}:2: {made_by_name.value}"
+
+
+def test_fields_moved_between_lines_are_refused(tmp_path):
+    # 13 fields on one line and 15 on the next: 28 fields, as two good lines have
+    path = tmp_path / "c.csv"
+    first, second = REC_7.to_line(), REC_601.to_line()
+    moved = first.rsplit(",", 1)
+    path.write_text(f"{CACHE_HEADER}\n{moved[0]}\n{moved[1]},{second}\n")
+    with pytest.raises(CacheCorruptionError, match="c.csv:2: not 14 plain decimal integers"):
+        ResultCache(path)
+
+
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "c.csv"
     with ResultCache(path) as cache:
