@@ -22,7 +22,7 @@ _SOURCES = {
     "census": ("ParityCell", "ParityScanReport", "batch_records", "census_primes",
                "class_census", "classify", "global_digit_census",
                "third_digit_parity_scan"),
-    "invariants": ("HARD", "STRONG", "SOFT", "RULE_IDS", "RuleReport", "RuleStats",
+    "invariants": ("HARD", "SOFT", "RULE_IDS", "RuleReport", "RuleStats",
                    "VerificationSummary", "applicable_rule", "check_histogram",
                    "verify_range"),
     "numtheory": ("Factorization", "factorize", "is_prime", "multiplicative_order",

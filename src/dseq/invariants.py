@@ -22,22 +22,24 @@ m = p // 10, the catalog is:
   HL9O  f(0)+f(9) = m, other pairs m+1; f(1)=f(5)=f(6); f(3)=f(4)=f(8);
         max digit in {0,2}, min digit in {7,9}
 
-The parts of these rules that are theorems are one HARD sub-check,
-``period``, shared by all twelve: ``sequence._broken_period``, which the
-cache also runs on every record it loads or writes.  It holds each rule's
-period total, the FL closed forms (f = N_p, with N_p(d) = m plus an offset
-fixed by the last digit), the mirrors of HL3O, HL7O and HL9E (Midy) and the
-pair sums of HL1O, HL3E, HL7E and HL9O (f(d) + f(9-d) = N_p(d)).  So the FL
-rules have nothing left to check, and ``RULES`` lists only the rest: equal
-groups and extremes.  STRONG checks are observed to hold universally over
-every range verified so far but carry no proof; a violation is reported as
-data, never an abort.  SOFT checks are frequency observations ("usually the
-maximum"); only pass rates are reported.  Max/min checks are skipped for
-p <= 10, where one-digit periods make ties meaningless.
+All of it is proven, and all of it is one HARD sub-check, ``period``:
+``sequence._broken_period``, the record check that the cache runs on every
+record it loads or writes.  It holds each rule's period total, the FL closed
+forms (f = N_p), the mirrors of HL3O, HL7O and HL9E (Midy), the pair sums of
+HL1O, HL3E, HL7E and HL9O, the x2 relations that give the equal groups of the
+even periods, and the class-number shape that gives the equal groups and the
+extremes of the odd ones.  ``RULES`` lists only SOFT sub-checks, frequency
+observations of the even half-length types whose pass rates are reported:
+
+  HL1E, HL9E  max_group: the max digits lie in {0,9} or in {1,2,4,5,7,8};
+              min_group: the min digits lie in {3,6} or in {1,2,4,5,7,8}
+  HL3O, HL7O  max_pair: the max digits lie in {1,8}, {2,7} or {0,9};
+              min_pair: the min digits lie in {3,6}, {4,5} or {1,8}
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from typing import Callable
 
 from .census import batch_records, census_primes
 from .sequence import (
@@ -54,7 +56,6 @@ from .store import ResultCache
 
 __all__ = [
     "HARD",
-    "STRONG",
     "SOFT",
     "RULE_IDS",
     "RuleReport",
@@ -65,110 +66,40 @@ __all__ = [
     "verify_range",
 ]
 
-HARD = "hard"
-STRONG = "strong"
-SOFT = "soft"
-
-# Below this, max/min sub-checks are skipped (degenerate periods are all ties).
-_EXTREMES_MIN_P = 10
+HARD = "hard"  # the level of the record check, ``period``
+SOFT = "soft"  # the level of every sub-check in RULES
 
 Counts = tuple[int, ...]
 
 
-class SubCheck(namedtuple("SubCheck", "name level run extremal", defaults=(False,))):
-    """One named check; ``run(p, f)`` is None when it holds, else the observed detail."""
+def _extreme_in(kind: str, allowed: tuple[frozenset, ...]) -> Callable[[Counts], bool]:
+    """Whether the digits of f's max (or min) count all lie in one allowed set."""
+    def holds(f: Counts) -> bool:
+        target = max(f) if kind == "max" else min(f)
+        got = {d for d in range(10) if f[d] == target}
+        return any(got <= a for a in allowed)
 
-    __slots__ = ()
-
-
-def _fmt(f: Counts, digits) -> str:
-    return " ".join(f"f({d})={f[d]}" for d in digits)
-
-
-def _equal_group(name: str, level: str, digits: tuple[int, ...]) -> SubCheck:
-    def run(p: int, f: Counts) -> str | None:
-        return None if len({f[d] for d in digits}) == 1 else _fmt(f, digits)
-
-    return SubCheck(name, level, run)
+    return holds
 
 
-def _extreme_set(f: Counts, kind: str) -> set[int]:
-    target = max(f) if kind == "max" else min(f)
-    return {d for d in range(10) if f[d] == target}
+_SIX = frozenset({1, 2, 4, 5, 7, 8})
+_PAIRS_MAX = _extreme_in("max", (frozenset({1, 8}), frozenset({2, 7}), frozenset({0, 9})))
+_PAIRS_MIN = _extreme_in("min", (frozenset({3, 6}), frozenset({4, 5}), frozenset({1, 8})))
+_GROUPS_MAX = _extreme_in("max", (frozenset({0, 9}), _SIX))
+_GROUPS_MIN = _extreme_in("min", (frozenset({3, 6}), _SIX))
 
-
-def _extreme_in(name: str, level: str, kind: str, allowed: tuple[frozenset, ...]) -> SubCheck:
-    def run(p: int, f: Counts) -> str | None:
-        got = _extreme_set(f, kind)
-        return None if any(got <= a for a in allowed) else f"{kind} digits {sorted(got)}"
-
-    return SubCheck(name, level, run, extremal=True)
-
-
-def _extreme_unique(name: str, level: str, kind: str, digit: int) -> SubCheck:
-    def run(p: int, f: Counts) -> str | None:
-        got = _extreme_set(f, kind)
-        if got == {digit}:
-            return None
-        return f"{kind} digits {sorted(got)}" + (" (tie)" if len(got) > 1 else "")
-
-    return SubCheck(name, level, run, extremal=True)
-
-
-_SIX = (1, 2, 4, 5, 7, 8)
-_PAIRS_SOFT_MAX = (frozenset({1, 8}), frozenset({2, 7}), frozenset({0, 9}))
-_PAIRS_SOFT_MIN = (frozenset({3, 6}), frozenset({4, 5}), frozenset({1, 8}))
-_GROUPS_09_SIX = (frozenset({0, 9}), frozenset(_SIX))
-_GROUPS_36_SIX = (frozenset({3, 6}), frozenset(_SIX))
-
-RULES: dict[str, tuple[SubCheck, ...]] = {
-    "FL1": (), "FL3": (), "FL7": (), "FL9": (),  # all in the period check
-    "HL1E": (
-        _equal_group("f0_f9", STRONG, (0, 9)),
-        _equal_group("f124578", STRONG, _SIX),
-        _equal_group("f3_f6", STRONG, (3, 6)),
-        _extreme_in("max_group", SOFT, "max", _GROUPS_09_SIX),
-        _extreme_in("min_group", SOFT, "min", _GROUPS_36_SIX),
-    ),
-    "HL1O": (
-        _equal_group("f1_f5_f6", STRONG, (1, 5, 6)),
-        _equal_group("f3_f4_f8", STRONG, (3, 4, 8)),
-        _extreme_in("max_in_02", STRONG, "max", (frozenset({0, 2}),)),
-        _extreme_in("min_in_79", STRONG, "min", (frozenset({7, 9}),)),
-    ),
-    "HL3E": (
-        _equal_group("f0_f9", STRONG, (0, 9)),
-        _equal_group("f1_f4_f7", STRONG, (1, 4, 7)),
-        _equal_group("f2_f5_f8", STRONG, (2, 5, 8)),
-        _extreme_unique("max_is_3", STRONG, "max", 3),
-        _extreme_unique("min_is_6", STRONG, "min", 6),
-    ),
-    "HL3O": (
-        _extreme_in("max_pair", SOFT, "max", _PAIRS_SOFT_MAX),
-        _extreme_in("min_pair", SOFT, "min", _PAIRS_SOFT_MIN),
-    ),
-    "HL7E": (
-        _equal_group("f1_f4_f7", STRONG, (1, 4, 7)),
-        _equal_group("f2_f5_f8", STRONG, (2, 5, 8)),
-        _extreme_unique("max_is_3", STRONG, "max", 3),
-        _extreme_unique("min_is_6", STRONG, "min", 6),
-    ),
-    "HL7O": (
-        _extreme_in("max_pair", SOFT, "max", _PAIRS_SOFT_MAX),
-        _extreme_in("min_pair", SOFT, "min", _PAIRS_SOFT_MIN),
-    ),
-    "HL9E": (
-        _equal_group("f1_f2_f4", STRONG, (1, 2, 4)),
-        _equal_group("f5_f7_f8", STRONG, (5, 7, 8)),
-        _extreme_in("max_group", SOFT, "max", _GROUPS_09_SIX),
-        _extreme_in("min_group", SOFT, "min", _GROUPS_36_SIX),
-    ),
-    "HL9O": (
-        _equal_group("f1_f5_f6", STRONG, (1, 5, 6)),
-        _equal_group("f3_f4_f8", STRONG, (3, 4, 8)),
-        _extreme_in("max_in_02", STRONG, "max", (frozenset({0, 2}),)),
-        _extreme_in("min_in_79", STRONG, "min", (frozenset({7, 9}),)),
-    ),
+# The soft sub-checks of each rule, by name, in catalog order; the FL rules and
+# the odd half-length ones are all in the period check.
+RULES: dict[str, dict[str, Callable[[Counts], bool]]] = {
+    "FL1": {}, "FL3": {}, "FL7": {}, "FL9": {},
+    "HL1E": {"max_group": _GROUPS_MAX, "min_group": _GROUPS_MIN},
+    "HL1O": {},
+    "HL3E": {},
+    "HL3O": {"max_pair": _PAIRS_MAX, "min_pair": _PAIRS_MIN},
+    "HL7E": {},
+    "HL7O": {"max_pair": _PAIRS_MAX, "min_pair": _PAIRS_MIN},
+    "HL9E": {"max_group": _GROUPS_MAX, "min_group": _GROUPS_MIN},
+    "HL9O": {},
 }
 RULE_IDS = tuple(RULES)  # in catalog order, as verify prints them
 
@@ -188,12 +119,11 @@ def applicable_rule(spec: ReciprocalSpec) -> str | None:
     return _RULE_BY_KEY.get(spec.key)
 
 
-class RuleReport(namedtuple("RuleReport",
-                            "p rule hard_passed strong_passed soft_outcomes details")):
+class RuleReport(namedtuple("RuleReport", "p rule hard_passed soft_outcomes details")):
     """Outcome of every sub-check of one rule against one prime's histogram.
 
-    ``soft_outcomes`` maps each soft sub-check run to whether it held, and
-    ``details`` is a tuple of the failing sub-checks' text.
+    ``soft_outcomes`` maps each soft sub-check to whether it held, and
+    ``details`` is ``()`` or the text of the failed period check.
     """
 
     __slots__ = ()
@@ -209,54 +139,24 @@ def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
         raise ValueError(
             f"no rule applies to {spec.p} (cofactor {spec.cofactor})"
         )
-    p, f = spec.p, hist.counts
-    broken = _broken_period(p, spec.period, f)
-    hard, strong = broken is None, True
-    soft: dict[str, bool] = {}
-    details = [] if hard else [f"{HARD} period: {broken}"]
-    for chk in RULES[rule]:
-        if chk.extremal and p <= _EXTREMES_MIN_P:
-            continue
-        failure = chk.run(p, f)
-        if chk.level == SOFT:
-            soft[chk.name] = failure is None
-        elif failure is not None:
-            strong = False
-            details.append(f"{chk.level} {chk.name}: {failure}")
-    return RuleReport(p, rule, hard, strong, soft, tuple(details))
+    f = hist.counts
+    broken = _broken_period(spec.p, spec.period, f)
+    soft = {name: holds(f) for name, holds in RULES[rule].items()}
+    details = () if broken is None else (f"{HARD} period: {broken}",)
+    return RuleReport(spec.p, rule, broken is None, soft, details)
 
 
-class RuleStats(namedtuple("RuleStats",
-                           "checked hard_failures strong_failures soft_passed soft_checked")):
-    """Aggregate tallies for one rule over a verified range.
-
-    ``soft_passed`` and ``soft_checked`` count by soft sub-check name; each
-    defaults to a new empty dict.
-    """
+class RuleStats(namedtuple("RuleStats", "checked soft_passed soft_checked")):
+    """Tallies for one rule over a verified range: the records checked, and
+    by soft sub-check name, how many held and how many were run."""
 
     __slots__ = ()
 
-    def __new__(cls, checked: int = 0, hard_failures: int = 0, strong_failures: int = 0,
-                soft_passed: dict[str, int] | None = None,
-                soft_checked: dict[str, int] | None = None) -> "RuleStats":
-        return super().__new__(cls, checked, hard_failures, strong_failures,
-                               {} if soft_passed is None else soft_passed,
-                               {} if soft_checked is None else soft_checked)
 
-
-class VerificationSummary(namedtuple("VerificationSummary", "limit rules violations")):
-    """Range-level outcome: per-rule tallies (RuleStats by rule id) plus every
-    failing report (a list of RuleReport)."""
+class VerificationSummary(namedtuple("VerificationSummary", "limit rules")):
+    """Range-level outcome: per-rule tallies (RuleStats by rule id)."""
 
     __slots__ = ()
-
-    @property
-    def hard_failures(self) -> int:
-        return sum(s.hard_failures for s in self.rules.values())
-
-    @property
-    def strong_failures(self) -> int:
-        return sum(s.strong_failures for s in self.rules.values())
 
 
 def verify_range(
@@ -265,43 +165,20 @@ def verify_range(
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> VerificationSummary:
-    """Check every full- and half-length prime <= limit against its rule.
+    """Tally every full- and half-length prime <= limit against its rule.
 
-    Each rule's sub-checks, the period check among them, run over all of
-    that rule's records at once, with the functions ``check_histogram``
-    runs; only a record that fails one goes through ``check_histogram``, for
-    its report.
+    Every record here has passed the period check, when it was loaded or
+    counted, so only the soft sub-checks are left to run, each over all of
+    its rule's records at once.
     """
     records = batch_records(census_primes(limit), jobs=jobs, cache=cache,
                             keep=lambda spec: spec.cofactor in (1, 2))
-    members: dict[str, list[int]] = {rule: [] for rule in RULE_IDS}  # indices into records
-    for i, rec in enumerate(records):
-        members[applicable_rule(rec)].append(i)
-    stats, failed = {}, set()
-    for rule, rows in members.items():
-        ps = [records[i].p for i in rows]
-        fs = [records[i].counts for i in rows]
-        periods = [records[i].period for i in rows]
-        hard = [i for i, broken in zip(rows, map(_broken_period, ps, periods, fs))
-                if broken is not None]
-        # the rows that extremal sub-checks run on, as columns
-        ranked = tuple(zip(*((i, p, f) for i, p, f in zip(rows, ps, fs)
-                             if p > _EXTREMES_MIN_P))) or ((), (), ())
-        strong: set[int] = set()
-        soft_passed, soft_checked = {}, {}
-        for chk in RULES[rule]:
-            rows_c, ps_c, fs_c = ranked if chk.extremal else (rows, ps, fs)
-            if not rows_c:
-                continue
-            bad = [i for i, failure in zip(rows_c, map(chk.run, ps_c, fs_c))
-                   if failure is not None]
-            if chk.level == SOFT:
-                soft_checked[chk.name] = len(rows_c)
-                soft_passed[chk.name] = len(rows_c) - len(bad)
-            else:
-                strong.update(bad)
-        stats[rule] = RuleStats(len(rows), len(hard), len(strong), soft_passed, soft_checked)
-        failed.update(hard, strong)
-    # a record carries its own counts
-    violations = [check_histogram(records[i], records[i]) for i in sorted(failed)]
-    return VerificationSummary(limit, stats, violations)
+    counts: dict[str, list[Counts]] = {rule: [] for rule in RULE_IDS}
+    for rec in records:
+        counts[applicable_rule(rec)].append(rec.counts)
+    stats = {}
+    for rule, fs in counts.items():
+        checks = RULES[rule] if fs else {}  # a rule with no records has no soft rates
+        passed = {name: sum(map(holds, fs)) for name, holds in checks.items()}
+        stats[rule] = RuleStats(len(fs), passed, dict.fromkeys(passed, len(fs)))
+    return VerificationSummary(limit, stats)

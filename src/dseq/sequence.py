@@ -217,10 +217,40 @@ def _full_length_counts(p: int) -> tuple[int, ...]:
 def _broken_period(p: int, period: int, f: tuple[int, ...]) -> str | None:
     """Why the counts f cannot be the histogram of a period of 1/p, or None.
 
-    They sum to the period T, and three lemmas fix more: f = N_p at full
-    length (T = p - 1); f(d) = f(9-d) for an even T (Midy: 10^(T/2) = -1
-    mod p); and f(d) + f(9-d) = N_p(d) for an odd T = (p-1)/2 (-1 is then
-    not a power of 10, so the powers and their negatives are every unit once).
+    Write T for the period, H = <10> for its T residues mod p, m = p // 10
+    and N_p for the counts of all the units.  The counts sum to T, and these
+    theorems fix more:
+
+    - Full length (T = p - 1): f = N_p.
+    - Even T: f(d) = f(9-d).  Midy: 10^(T/2) = -1 mod p, and r -> p - r
+      maps digit d to 9 - d.
+    - Odd T = (p-1)/2: f(d) + f(9-d) = N_p(d).  -1 is not a power of 10,
+      so H and -H are every unit once.
+    - Even T = (p-1)/2 (p = 1 mod 4, and H is the squares): r -> 2r maps
+      the residues of digits d and d+5 (d < 5) onto those of 2d and 2d+1,
+      so f(d) + f(d+5) = g(2d) + g(2d+1), where g counts 2H.  10 is a
+      square, so 2 is one exactly when 5 is, that is when p ends in 1 or 9;
+      then g = f, and else 2H is the non-squares and g = N_p - f.  With the
+      mirror, the five equalities come to f(1) = f(2) = f(4) when p ends in
+      1 or 9.  When it ends in 3 or 7 they come to f(2) + f(4) = m + e and
+      2f(0) + f(1) + f(4) = 2m + e, with e = 1 if p ends in 7 else 0, and
+      one more that the sum of the counts implies.  r -> 5r maps the
+      residues of even digits onto those below p/2, with the same g; given
+      the sum and the mirror, that relation always holds.
+    - Odd T = (p-1)/2, p > 3 (p = 3 mod 4, and H is the squares): 8f - 4N_p
+      on digits 0-4 is (4h-2g, g, 3g, -g, -g) for p = 7 (mod 8) and
+      (0, 6h-g, -6h+g, 6h+g, 6h-g) for p = 3 (mod 8), with h = h(-p) and
+      g = h(-5p) (Berndt; Girstmair; see the module docstring).  h >= 1,
+      and g >= 2: -5p has two prime factors, so genus theory makes g even.
+      For p = 3 (mod 8), g >= 4: the imaginary quadratic fields of class
+      number 2 are all known, and -15 (p = 3) is the only -5p among them
+      with p = 3 (mod 8).  h is odd by genus theory too.  Neither parity
+      needs a check, because any counts with the shape have them.  8f - 4N_p
+      is a multiple of 4, which makes g even.  For p = 7 (mod 8),
+      h = 2f(0) - N_p(0) + g/2 with g/2 even, and the shape gives integer
+      counts only when p ends in 1 or 9, where N_p(0) = m is odd.  For
+      p = 3 (mod 8), 3h = 2f(1) + 2f(3) - N_p(1) - N_p(3), and f(0) =
+      N_p(0)/2 needs p to end in 3 or 7, where N_p(1) + N_p(3) = 2m + 1.
     """
     if sum(f) != period:
         return f"counts sum to {sum(f)}, period is {period}"
@@ -230,9 +260,47 @@ def _broken_period(p: int, period: int, f: tuple[int, ...]) -> str | None:
     elif period % 2 == 0:
         if f != f[::-1]:
             return f"period {period} is even, but counts {f} are not mirrored"
-    elif 2 * period == p - 1 and tuple(map(add, f, f[::-1])) != _full_length_counts(p):
-        return (f"period {period} = (p-1)/2 is odd, but counts {f} do not "
-                f"complement to N_p = {_full_length_counts(p)}")
+        if 2 * period == p - 1:
+            if p % 10 in (1, 9):
+                if not f[1] == f[2] == f[4]:
+                    return (f"period {period} = (p-1)/2 is even and p ends in {p % 10}, "
+                            f"but f(1), f(2), f(4) = {f[1]}, {f[2]}, {f[4]} are not equal")
+            else:
+                m, e = p // 10, p % 10 == 7
+                if f[2] + f[4] != m + e or 2 * f[0] + f[1] + f[4] != 2 * m + e:
+                    return (f"period {period} = (p-1)/2 is even and p ends in {p % 10}, "
+                            f"but counts {f} do not have f(2) + f(4) = {m + e} "
+                            f"and 2f(0) + f(1) + f(4) = {2 * m + e}")
+    elif 2 * period == p - 1:
+        n_p = _full_length_counts(p)
+        if tuple(map(add, f, f[::-1])) != n_p:
+            return (f"period {period} = (p-1)/2 is odd, but counts {f} do not "
+                    f"complement to N_p = {n_p}")
+        if p > 3:
+            return _broken_shape(p, period, f, n_p)
+    return None
+
+
+def _broken_shape(p: int, period: int, f: tuple[int, ...], n_p: tuple[int, ...]) -> str | None:
+    """Why 8f - 4N_p on digits 0-4 has not the class-number shape of an odd
+    period (p-1)/2, p > 3, or None; see ``_broken_period``."""
+    # e = 2f - N_p = (8f - 4N_p)/4, spelled out: a third of the time of a generator
+    f0, f1, f2, f3, f4 = f[:5]
+    n0, n1, n2, n3, n4 = n_p[:5]
+    e0, e1, e2, e3, e4 = 2 * f0 - n0, 2 * f1 - n1, 2 * f2 - n2, 2 * f3 - n3, 2 * f4 - n4
+    if p % 8 == 7:  # 4e = (4h-2g, g, 3g, -g, -g), so h = e0 + 2e1 and g = 4e1
+        h, g, g_min, form = e0 + 2 * e1, 4 * e1, 2, "(4h-2g, g, 3g, -g, -g)"
+        shaped = e2 == 3 * e1 and e3 == e4 == -e1
+    else:  # 4e = (0, 6h-g, -6h+g, 6h+g, 6h-g), so 3h = e1 + e3 and g = 2(e3 - e1)
+        h, rest = divmod(e1 + e3, 3)
+        g, g_min, form = 2 * (e3 - e1), 4, "(0, 6h-g, -6h+g, 6h+g, 6h-g)"
+        shaped = rest == 0 and e0 == 0 and e2 == -e1 and e4 == e1
+    if not shaped:
+        return (f"period {period} = (p-1)/2 is odd, but 8f - 4N_p on digits 0-4 "
+                f"is {(4 * e0, 4 * e1, 4 * e2, 4 * e3, 4 * e4)}, not {form}")
+    if h < 1 or g < g_min:
+        return (f"period {period} = (p-1)/2 is odd, and 8f - 4N_p on digits 0-4 "
+                f"is {form} with h = {h} and g = {g}, but not with h >= 1 and g >= {g_min}")
     return None
 
 

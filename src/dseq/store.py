@@ -14,7 +14,8 @@ passes its fields column by column:
 - p <= PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, and p prime;
 - the counts can be a period histogram of 1/p: ``sequence._broken_period``
   checks that they sum to T and obey the proven lemmas (N_p at full length,
-  the Midy mirror for an even T, the complement for an odd T = (p-1)/2).
+  the Midy mirror for an even T, the complement for an odd T = (p-1)/2, and
+  at half length the x2 relation or the class-number shape).
 
 Loading runs it on blocks of about 64 KiB (some 1,100 lines).  Deleting a
 block's digits must leave exactly 13 commas on every line and nothing else;

@@ -8,7 +8,6 @@ import pytest
 
 from dseq.census import ODD, OTHER, ClassKey, batch_records, census_primes, classify
 from dseq.cli import main
-from dseq.invariants import RuleReport, RuleStats, VerificationSummary
 from dseq.sequence import _full_length_counts, long_division_digits
 from dseq.store import CACHE_HEADER, CacheRecord, ResultCache
 
@@ -152,20 +151,21 @@ def test_verify_jobs_transparency(capsys):
     assert one == four
 
 
-def test_verify_exit_two_on_hard_failure(capsys, monkeypatch):
-    bad = VerificationSummary(
-        limit=10,
-        rules={"FL7": RuleStats(checked=1, hard_failures=1)},
-        violations=[RuleReport(7, "FL7", False, True, {},
-                               ("hard period: full length, but counts (1, 1, 1, 1, 1, 1, "
-                                "0, 0, 0, 0) are not N_p = (0, 1, 1, 0, 1, 1, 0, 1, 1, 0)",))],
-    )
-    # verify imports verify_range when it runs, so the patch is seen there
-    monkeypatch.setattr("dseq.invariants.verify_range", lambda limit, jobs, cache: bad)
-    code, out, _ = run_cli(capsys, "verify", "10", "json", "--no-cache")
-    assert code == 2
-    data = json.loads(out)
-    assert data["violations"][0]["p"] == 7
+def test_verify_exit_three_on_cache_breaking_an_equal_group(capsys, tmp_path):
+    # 601 (HL1E) with f(1) and f(8) down one, f(2) and f(7) up one: the sum and
+    # the mirror hold, f(1) = f(2) = f(4) does not, so verify never tallies it
+    path = tmp_path / "c.csv"
+    path.write_bytes(_cache_bytes([L7, "601,9,300,2,35,27,29,31,28,28,31,29,27,35"]))
+    code, out, err = run_cli(capsys, "verify", "1000", "json", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert "c.csv:3: record for 601: period 300 = (p-1)/2 is even" in err
+
+
+def test_verify_1e5_bytes_are_pinned(capsys, session_cache):
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(capsys, "verify", "100000", fmt, "--cache", session_cache.path)
+        assert code == 0
+        assert out == (DATA_DIR / f"verify-1e5.{fmt}").read_text()
 
 
 def test_profile_examples(capsys):
@@ -341,8 +341,8 @@ def test_cache_record_contradicting_mirror_lemma_exit_three(capsys, tmp_path):
 L7 = "7,7,6,1,0,1,1,0,1,1,0,1,1,0"
 L13 = "13,3,6,2,1,0,1,1,0,0,1,1,0,1"
 L601 = "601,9,300,2,35,28,28,31,28,28,31,28,28,35"
-# 601 with other mirrored counts that sum to 300: consistent, but not 601's record
-OTHER_601 = "601,9,300,2,36,27,28,31,28,28,31,28,27,36"
+# 601 with other counts that obey every record rule: consistent, but not 601's record
+OTHER_601 = "601,9,300,2,36,28,28,30,28,28,30,28,28,36"
 ABOVE_CAP = 2147483659  # the least prime above PRIME_CAP
 
 
@@ -394,6 +394,16 @@ CORRUPT = {
     "full_length_lemma": (_cache_bytes([L13, "7,7,6,1,1,0,1,0,1,1,0,1,0,1"]), 3),
     "mirror_lemma": (_cache_bytes([L7, "601,9,300,2,28,35,28,31,28,28,31,28,28,35"]), 3),
     "complement_lemma": (_cache_bytes([L7, "31,9,15,2,2,2,2,2,1,2,2,0,1,1"]), 3),
+    # even (p-1)/2: f(1) = f(2) = f(4) for 601 (HL1E), and the x2 relation with
+    # the non-residues for 157 (HL7O); both mirrored and summing to the period
+    "times_two_square": (_cache_bytes([L7, "601,9,300,2,35,27,29,31,28,28,31,29,27,35"]), 3),
+    "times_two_non_square": (_cache_bytes([L7, "157,7,78,2,8,8,10,7,6,6,7,10,8,8"]), 3),
+    # odd (p-1)/2, complemented: 8f - 4N_p off the class-number shape for 31
+    # (p = 7 mod 8) and 67 (p = 3 mod 8); h = -1 for 31; g = 2 for 43 (p = 3 mod 8)
+    "shape_7_mod_8": (_cache_bytes([L7, "31,9,15,2,2,1,3,2,1,2,1,0,2,1"]), 3),
+    "shape_3_mod_8": (_cache_bytes([L7, "67,7,33,2,3,3,5,5,2,5,1,2,4,3"]), 3),
+    "h_below_1": (_cache_bytes([L7, "31,9,15,2,0,2,3,1,1,2,2,0,1,3"]), 3),
+    "g_below_4": (_cache_bytes([L7, "43,3,21,2,2,4,0,5,4,0,0,4,0,2"]), 3),
     # the first bad line of a block is the least one that breaks any rule
     "semantic_before_grammar": (_cache_bytes(
         [L7, L601.replace(",300,2,", ",300,3,"), L13, "garbage"]), 3),

@@ -19,7 +19,7 @@ from dseq.sequence import (
     histogram,
     long_division_digits,
 )
-from dseq.store import CACHE_HEADER, CacheRecord, ResultCache
+from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
 
 from conftest import golden_rows
 
@@ -51,7 +51,7 @@ def test_check_601_golden_row():
     hist = DigitHistogram(dict(golden_rows(1))[601])
     report = check_histogram(prof, hist)
     assert report.rule == "HL1E"
-    assert report.hard_passed and report.strong_passed
+    assert report.hard_passed
     assert report.details == ()
     assert set(report.soft_outcomes) == {"max_group", "min_group"}
 
@@ -62,7 +62,7 @@ def test_check_2203_pair36_is_m_plus_1():
     counts = dict(golden_rows(3))[2203]
     assert counts[3] + counts[6] == 221 == 2203 // 10 + 1
     report = check_histogram(prof, DigitHistogram(counts))
-    assert report.hard_passed and report.strong_passed
+    assert report.hard_passed and report.details == ()
 
 
 def test_check_perturbed_601_fails_hard():
@@ -71,9 +71,7 @@ def test_check_perturbed_601_fails_hard():
     counts[0] += 1
     report = check_histogram(prof, DigitHistogram(tuple(counts)))
     assert not report.hard_passed
-    assert not report.strong_passed
-    assert any("period" in d for d in report.details)
-    assert any("f0_f9" in d for d in report.details)
+    assert report.details == ("hard period: counts sum to 301, period is 300",)
 
 
 def test_check_rejects_other_class():
@@ -97,12 +95,13 @@ def test_full_length_closed_forms_small():
 
 
 def test_extremal_checks_skipped_for_tiny_primes():
-    # p = 3 is HL3E with a one-digit period; unique-max/min would be vacuous
+    # p = 3 is HL3E with a one-digit period: no soft check runs on it, and the
+    # class-number shape, which fixes the extremes of HL3E, holds only for p > 3
     report = check_histogram(classify(3), histogram(ReciprocalSpec.for_prime(3)))
-    assert report.hard_passed and report.strong_passed
+    assert report.hard_passed and report.soft_outcomes == {}
     report = check_histogram(classify(13), histogram(ReciprocalSpec.for_prime(13)))
     assert report.rule == "HL3O"
-    assert report.hard_passed and report.strong_passed
+    assert report.hard_passed
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,7 +113,6 @@ def test_rules_hold_on_real_histograms(p):
         return
     report = check_histogram(prof, histogram(ReciprocalSpec.for_prime(p)))
     assert report.hard_passed, report.details
-    assert report.strong_passed, report.details
 
 
 FULL_OR_HALF = [p for p in sieve_primes(20_000)
@@ -151,9 +149,6 @@ def test_hard_verdict_is_the_cache_verdict(p, data):
 def test_verify_range_small(session_cache):
     summary = verify_range(1000, cache=session_cache)
     assert summary.limit == 1000
-    assert summary.hard_failures == 0
-    assert summary.strong_failures == 0
-    assert summary.violations == []
     assert set(summary.rules) == set(RULE_IDS)
     # primes <= 1000 excluding 2, 5: 166, of which 52 are neither full nor half
     assert sum(st.checked for st in summary.rules.values()) == 114
@@ -163,7 +158,6 @@ def test_verify_range_small(session_cache):
 
 def test_verify_range_ten():
     summary = verify_range(10)
-    assert summary.hard_failures == 0
     assert sum(st.checked for st in summary.rules.values()) == 2  # 3 and 7
     assert summary.rules["FL7"].checked == 1
     assert summary.rules["HL3E"].checked == 1
@@ -171,8 +165,7 @@ def test_verify_range_ten():
 
 def test_verify_range_two():
     summary = verify_range(2)
-    assert all(st.checked == 0 for st in summary.rules.values())
-    assert summary.violations == []
+    assert all(st == RuleStats(0, {}, {}) for st in summary.rules.values())
 
 
 def test_verify_range_soft_rates(session_cache):
@@ -180,16 +173,14 @@ def test_verify_range_soft_rates(session_cache):
     st_ = summary.rules["HL1E"]
     assert st_.soft_checked["max_group"] == st_.checked
     assert 0 <= st_.soft_passed["max_group"] <= st_.soft_checked["max_group"]
-    # soft outcomes never appear in violations
-    assert summary.hard_failures == 0 and summary.strong_failures == 0
 
 
-def test_verify_range_tallies_equal_per_record_reports(tmp_path):
+def test_verify_range_tallies_equal_per_record_reports(tmp_path, session_cache):
     # the HL1E and HL9E records with p = 1 (mod 3) moved off their equal groups:
     # f(1) and f(8) down one, f(2) and f(7) up one keeps the sum and the mirror,
-    # so the cache loads them
+    # but breaks f(1) = f(2) = f(4), so the cache refuses the first of them
     path = tmp_path / "c.csv"
-    lines = []
+    lines, first = [], None
     for rec in batch_records(census_primes(3000)):
         counts = list(rec.counts)
         if applicable_rule(rec) in ("HL1E", "HL9E") and counts[1] and rec.p % 3 == 1:
@@ -197,81 +188,106 @@ def test_verify_range_tallies_equal_per_record_reports(tmp_path):
             counts[8] -= 1
             counts[2] += 1
             counts[7] += 1
-        lines.append(CacheRecord(rec.p, rec.l, rec.period, tuple(counts)).to_line())
+            first = first or (len(lines) + 2, rec.p)  # its line, after the header
+        lines.append(",".join(map(str, (rec.p, rec.l, rec.period, rec.cofactor, *counts))))
     path.write_text("".join(f"{line}\n" for line in [CACHE_HEADER, *lines]))
-    with ResultCache(path) as cache:
-        summary = verify_range(3000, cache=cache)
-        records = [cache.lookup(p) for p in census_primes(3000)]
-    reports = [check_histogram(rec, rec) for rec in records if rec.cofactor in (1, 2)]
-    tallies = {rule: [0, 0, 0, {}, {}] for rule in RULE_IDS}
-    for report in reports:
+    with pytest.raises(CacheCorruptionError,
+                       match=rf"c.csv:{first[0]}: record for {first[1]}: .*not equal"):
+        ResultCache(path)
+    # on real records, verify tallies what check_histogram reports record by record
+    summary = verify_range(3000, cache=session_cache)
+    records = batch_records(census_primes(3000), cache=session_cache,
+                            keep=lambda spec: spec.cofactor in (1, 2))
+    tallies = {rule: [0, {}, {}] for rule in RULE_IDS}
+    for report in (check_histogram(rec, rec) for rec in records):
+        assert report.hard_passed
         t = tallies[report.rule]
         t[0] += 1
-        t[1] += not report.hard_passed
-        t[2] += not report.strong_passed
         for name, ok in report.soft_outcomes.items():
-            t[3][name] = t[3].get(name, 0) + ok
-            t[4][name] = t[4].get(name, 0) + 1
-    failing = [r for r in reports if not (r.hard_passed and r.strong_passed)]
-    assert {r.rule for r in failing} == {"HL1E", "HL9E"}
+            t[1][name] = t[1].get(name, 0) + ok
+            t[2][name] = t[2].get(name, 0) + 1
     assert summary.rules == {rule: RuleStats(*t) for rule, t in tallies.items()}
-    assert summary.violations == failing
 
 
-# One perturbed real histogram per sub-check kind; the failure details are the
-# text `verify json` prints for a violation, so they are pinned byte for byte.
+# One perturbed real histogram per kind of failure; the details are the record
+# check's text, which the cache also gives when it refuses such a record, so
+# they are pinned byte for byte.
 PERTURBED = [
     pytest.param(
-        601, {0: +1}, "HL1E", False, False,
-        ("hard period: counts sum to 301, period is 300",
-         "strong f0_f9: f(0)=36 f(9)=35"),
+        601, {0: +1}, "HL1E", False,
+        ("hard period: counts sum to 301, period is 300",),
         {"max_group": True, "min_group": True},
         id="period_total-equal_group",
     ),
     pytest.param(
-        17, {1: +1, 2: -1}, "FL7", False, True,
+        17, {1: +1, 2: -1}, "FL7", False,
         ("hard period: full length, but counts (1, 3, 1, 1, 2, 2, 1, 2, 2, 1) "
          "are not N_p = (1, 2, 2, 1, 2, 2, 1, 2, 2, 1)",),
         {},
         id="closed_form",
     ),
     pytest.param(
-        911, {0: -12, 5: +12}, "HL1O", False, False,
+        911, {0: -12, 5: +12}, "HL1O", False,
         ("hard period: period 455 = (p-1)/2 is odd, but counts "
          "(46, 47, 50, 44, 44, 59, 47, 41, 44, 33) do not complement to "
-         "N_p = (91, 91, 91, 91, 91, 91, 91, 91, 91, 91)",
-         "strong f1_f5_f6: f(1)=47 f(5)=59 f(6)=47",
-         "strong max_in_02: max digits [5]"),
+         "N_p = (91, 91, 91, 91, 91, 91, 91, 91, 91, 91)",),
         {},
         id="comp_sums-extreme_in",
     ),
     pytest.param(
-        5413, {4: +30, 1: -30}, "HL3O", False, True,
+        5413, {4: +30, 1: -30}, "HL3O", False,
         ("hard period: period 2706 is even, but counts "
          "(278, 237, 282, 267, 289, 259, 267, 282, 267, 278) are not mirrored",),
         {"max_pair": False, "min_pair": True},
         id="mirror-soft_extreme_in",
     ),
     pytest.param(
-        2203, {4: +26, 1: -26}, "HL3E", False, False,
+        2203, {4: +26, 1: -26}, "HL3E", False,
         ("hard period: period 1101 = (p-1)/2 is odd, but counts "
          "(110, 75, 119, 127, 127, 119, 94, 101, 119, 110) do not complement to "
-         "N_p = (220, 220, 220, 221, 220, 220, 221, 220, 220, 220)",
-         "strong f1_f4_f7: f(1)=75 f(4)=127 f(7)=101",
-         "strong max_is_3: max digits [3, 4] (tie)",
-         "strong min_is_6: min digits [1]"),
+         "N_p = (220, 220, 220, 221, 220, 220, 221, 220, 220, 220)",),
         {},
         id="extreme_unique",
+    ),
+    pytest.param(
+        601, {1: -1, 8: -1, 2: +1, 7: +1}, "HL1E", False,
+        ("hard period: period 300 = (p-1)/2 is even and p ends in 1, "
+         "but f(1), f(2), f(4) = 27, 29, 28 are not equal",),
+        {"max_group": True, "min_group": True},
+        id="times_two_square",
+    ),
+    pytest.param(
+        13, {0: -1, 9: -1, 1: +1, 8: +1}, "HL3O", False,
+        ("hard period: period 6 = (p-1)/2 is even and p ends in 3, "
+         "but counts (0, 1, 1, 1, 0, 0, 1, 1, 1, 0) do not have "
+         "f(2) + f(4) = 1 and 2f(0) + f(1) + f(4) = 2",),
+        {"max_pair": False, "min_pair": False},
+        id="times_two_non_square",
+    ),
+    pytest.param(
+        67, {3: -1, 1: +1, 6: +1, 8: -1}, "HL7E", False,
+        ("hard period: period 33 = (p-1)/2 is odd, but 8f - 4N_p on digits 0-4 "
+         "is (0, -4, 12, 16, -12), not (0, 6h-g, -6h+g, 6h+g, 6h-g)",),
+        {},
+        id="class_number_shape",
+    ),
+    pytest.param(
+        31, {0: -2, 9: +2}, "HL1O", False,
+        ("hard period: period 15 = (p-1)/2 is odd, and 8f - 4N_p on digits 0-4 "
+         "is (4h-2g, g, 3g, -g, -g) with h = -1 and g = 4, "
+         "but not with h >= 1 and g >= 2",),
+        {},
+        id="class_number_bounds",
     ),
 ]
 
 
-@pytest.mark.parametrize("p, delta, rule, hard, strong, details, soft", PERTURBED)
-def test_failure_details_are_pinned(p, delta, rule, hard, strong, details, soft):
+@pytest.mark.parametrize("p, delta, rule, hard, details, soft", PERTURBED)
+def test_failure_details_are_pinned(p, delta, rule, hard, details, soft):
     counts = list(histogram(ReciprocalSpec.for_prime(p)).counts)
     for d, change in delta.items():
         counts[d] += change
     report = check_histogram(classify(p), DigitHistogram(tuple(counts)))
-    assert (report.rule, report.hard_passed, report.strong_passed) == (rule, hard, strong)
+    assert (report.rule, report.hard_passed) == (rule, hard)
     assert report.details == details
     assert report.soft_outcomes == soft

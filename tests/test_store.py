@@ -1,7 +1,10 @@
+import functools
 import logging
+from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dseq import census, store
@@ -15,6 +18,7 @@ from dseq.sequence import (
     ReciprocalSpec,
     _full_length_counts,
     histogram,
+    long_division_digits,
 )
 from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache, _Primes
 
@@ -126,8 +130,8 @@ def test_append_is_idempotent(tmp_path):
 
 
 def test_conflicting_append_rejected(tmp_path):
-    # mirrored and summing to 300, so the record type accepts it, but not 601's counts
-    other = CacheRecord(601, 9, 300, (36, 27, 28, 31, 28, 28, 31, 28, 27, 36))
+    # obeys every record rule, so the record type accepts it, but not 601's counts
+    other = CacheRecord(601, 9, 300, (36, 28, 28, 30, 28, 28, 30, 28, 28, 36))
     with ResultCache(tmp_path / "c.csv") as cache:
         cache.append(REC_601)
         with pytest.raises(CacheCorruptionError):
@@ -420,7 +424,18 @@ def test_fields_only_int_reads_are_refused(tmp_path, field):
     ("7,7,6,1,1,0,1,0,1,1,0,1,0,1", "not N_p"),
     # 31 (period 15 = 30/2, odd): one count moved from digit 2 to 3
     ("31,9,15,2,2,2,2,2,1,2,2,0,1,1", "do not complement"),
-], ids=["mirror", "full_length", "complement"])
+    # 601 (period 300 = 600/2, even; p ends in 1): mirrored, but f(1) != f(2)
+    ("601,9,300,2,35,27,29,31,28,28,31,29,27,35", "are not equal"),
+    # 157 (period 78 = 156/2, even; p ends in 7): mirrored, but not 2x the non-residues
+    ("157,7,78,2,8,8,10,7,6,6,7,10,8,8", "do not have f"),
+    # 31 (p = 7 mod 8) and 67 (p = 3 mod 8): complemented, but off the shape
+    ("31,9,15,2,2,1,3,2,1,2,1,0,2,1", r"not \(4h-2g"),
+    ("67,7,33,2,3,3,5,5,2,5,1,2,4,3", r"not \(0, 6h-g"),
+    # 31 with h = -1 and 43 (p = 3 mod 8) with g = 2: on the shape, out of bounds
+    ("31,9,15,2,0,2,3,1,1,2,2,0,1,3", "h = -1 and g = 4"),
+    ("43,3,21,2,2,4,0,5,4,0,0,4,0,2", "h = 3 and g = 2"),
+], ids=["mirror", "full_length", "complement", "times_two_square", "times_two_non_square",
+        "shape_7_mod_8", "shape_3_mod_8", "h_below_1", "g_below_4"])
 def test_record_contradicting_a_lemma_is_refused_at_load(tmp_path, line, lemma):
     p = int(line.split(",")[0])
     with pytest.raises(ValueError, match=f"record for {p}: .*{lemma}"):
@@ -445,3 +460,92 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match="record for 601: .*not mirrored"):
             batch_records([601], cache=cache)
     assert path.read_bytes() == before
+
+
+# The record rules restated here from the number theory, without the code that
+# checks records: every true record must load, and a record moved off the
+# truth must load exactly when it still obeys what these relations say.
+
+@functools.lru_cache(maxsize=None)
+def _true_record(p: int) -> tuple[int, int, tuple[int, ...]]:
+    """(l, T, counts) of 1/p, the counts by long division."""
+    spec = ReciprocalSpec.for_prime(p)
+    c = Counter(long_division_digits(p, spec.period))
+    return spec.l, spec.period, tuple(c[d] for d in range(10))
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_counts(p: int) -> tuple[int, ...]:
+    """How many units r of Z/p have floor(10r/p) = d, for each digit d."""
+    return tuple(Counter(10 * r // p for r in range(1, p))[d] for d in range(10))
+
+
+def _obeys_half_length_relations(p: int, f: tuple[int, ...]) -> bool:
+    """Whether f obeys the x2/x5 relations (even (p-1)/2) or the class-number
+    shape (odd (p-1)/2), given that it sums to (p-1)/2 and is mirrored or
+    complemented.  H = <10> is then the squares mod p."""
+    n, t = _unit_counts(p), (p - 1) // 2
+
+    def image(a: int) -> tuple[int, ...]:  # the counts of aH
+        return f if pow(a, t, p) == 1 else tuple(x - y for x, y in zip(n, f))
+
+    if t % 2 == 0:
+        # r -> 2r maps the residues of digits d and d+5 onto those of 2d and
+        # 2d+1; r -> 5r maps those of the even digits onto the ones below p/2
+        two, five = image(2), image(5)
+        return ([f[d] + f[d + 5] for d in range(5)] == [two[2 * d] + two[2 * d + 1]
+                                                         for d in range(5)]
+                and sum(f[0::2]) == sum(five[:5]))
+    if p == 3:
+        return True
+    c = [8 * f[d] - 4 * n[d] for d in range(5)]
+    if p % 8 == 7:
+        g = Fraction(c[1])
+        h = (c[0] + 2 * g) / 4
+        shape, g_min = [4 * h - 2 * g, g, 3 * g, -g, -g], 2
+    else:
+        h, g = Fraction(c[1] + c[3], 12), Fraction(c[3] - c[1], 2)
+        shape, g_min = [0, 6 * h - g, -6 * h + g, 6 * h + g, 6 * h - g], 4
+    # h = h(-p) is odd and g = h(-5p) even, and -15 is the only -5p with
+    # p = 3 (mod 8) whose class number is 2
+    return c == shape and h % 2 == 1 and h >= 1 and g % 2 == 0 and g >= g_min
+
+
+TO_2E4 = [p for p in sieve_primes(20_000) if p not in (2, 5)]
+
+
+def test_every_true_record_to_2e4_loads():
+    for p in TO_2E4:
+        l, period, counts = _true_record(p)
+        CacheRecord(p, l, period, counts)
+    assert _obeys_half_length_relations(601, _true_record(601)[2])
+    assert _obeys_half_length_relations(31, _true_record(31)[2])
+
+
+HALF_TO_2E4 = [p for p in TO_2E4 if ReciprocalSpec.for_prime(p).cofactor == 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(HALF_TO_2E4), st.data())
+def test_moved_half_length_record_loads_exactly_when_it_obeys_the_relations(p, data):
+    l, period, counts = _true_record(p)
+    f = list(counts)
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b, k = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9)), data.draw(
+            st.integers(1, 3))
+        # with the paired move that keeps the mirror (even T) or the complement
+        for src, dst in ((a, b), (9 - a, 9 - b) if period % 2 == 0 else (9 - b, 9 - a)):
+            f[src] -= k
+            f[dst] += k
+    assume(min(f) >= 0)
+    f = tuple(f)
+    assert sum(f) == period
+    assert f == f[::-1] if period % 2 == 0 else all(
+        f[d] + f[9 - d] == _unit_counts(p)[d] for d in range(10))
+    try:
+        CacheRecord(p, l, period, f)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == _obeys_half_length_relations(p, f), f
