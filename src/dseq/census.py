@@ -36,7 +36,7 @@ from .sequence import (
     _numpy,
     histogram,
 )
-from .store import CacheRecord, ResultCache, _line, _Primes
+from .store import CacheRecord, ResultCache, _line
 
 __all__ = [
     "EVEN",
@@ -122,8 +122,11 @@ def _counted(
     """
     todo = [specs[p] for p in sorted(specs) if not isinstance(specs[p], CacheRecord)]
     if todo:
-        # more workers than cores or than primes to compute only cost start-up
-        workers = min(jobs, os.cpu_count() or 1, len(todo))
+        # more workers than the CPUs this process may use (its affinity mask,
+        # where the platform has one) or than primes to compute only cost start-up
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(jobs, cpus, len(todo))
         size = max(1, len(todo) // (workers * 8))
         chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
         with contextlib.ExitStack() as stack:
@@ -141,11 +144,10 @@ def _counted(
                 results = pool.imap(_count_chunk, chunks)
             else:
                 results = map(_count_chunk, chunks)
-            sieve = _Primes()  # grown once over the ascending chunks
             for lines in results:
                 # checked as loading checks them, and appended as these lines
-                computed = (CacheRecord._from_lines(lines, sieve) if cache is None
-                            else cache._append_lines(lines, sieve))
+                computed = (CacheRecord.from_lines(lines) if cache is None
+                            else cache._append_lines(lines))
                 for rec in computed:
                     specs[rec.p] = rec
     return [specs[p] for p in primes if p in specs]

@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _nonnegative(text: str) -> int:
     """A limit: plain decimal digits, as a positional limit is recognized."""
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
 
@@ -87,7 +87,7 @@ def _add_limit_format(p: argparse.ArgumentParser, choices: tuple[str, ...]) -> N
 def _split_positional(args) -> tuple[int | None, str | None]:
     limit = fmt = None
     for tok in args.positional:
-        if tok.isdigit():
+        if tok.isdecimal():
             if limit is not None:
                 raise _UsageError(f"dseq: two limits given: {limit} and {tok}")
             limit = int(tok)
@@ -270,7 +270,7 @@ def _verify_csv(summary: VerificationSummary) -> str:
     for rule, st in summary.rules.items():
         lines.append(
             f"{rule},{st.checked},0,0,"
-            f"{sum(st.soft_passed.values())},{sum(st.soft_checked.values())}"
+            f"{sum(st.soft_passed.values())},{len(st.soft_passed) * st.checked}"
         )
     return "\n".join(lines) + "\n"
 
@@ -281,10 +281,10 @@ def _verify_json(summary: VerificationSummary) -> str:
         soft_rates = {
             name: {
                 "passed": st.soft_passed[name],
-                "checked": st.soft_checked[name],
-                "rate": round(st.soft_passed[name] / st.soft_checked[name], 6),
+                "checked": st.checked,
+                "rate": round(st.soft_passed[name] / st.checked, 6),
             }
-            for name in sorted(st.soft_checked)
+            for name in sorted(st.soft_passed)
         }
         rules.append({
             "rule": rule,

@@ -146,9 +146,9 @@ def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
     return RuleReport(spec.p, rule, broken is None, soft, details)
 
 
-class RuleStats(namedtuple("RuleStats", "checked soft_passed soft_checked")):
+class RuleStats(namedtuple("RuleStats", "checked soft_passed")):
     """Tallies for one rule over a verified range: the records checked, and
-    by soft sub-check name, how many held and how many were run."""
+    by soft sub-check name, how many of them it held for (each runs on all)."""
 
     __slots__ = ()
 
@@ -180,5 +180,5 @@ def verify_range(
     for rule, fs in counts.items():
         checks = RULES[rule] if fs else {}  # a rule with no records has no soft rates
         passed = {name: sum(map(holds, fs)) for name, holds in checks.items()}
-        stats[rule] = RuleStats(len(fs), passed, dict.fromkeys(passed, len(fs)))
+        stats[rule] = RuleStats(len(fs), passed)
     return VerificationSummary(limit, stats)

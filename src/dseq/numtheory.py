@@ -1,14 +1,11 @@
 """Integer primitives: prime enumeration, primality, factorization, multiplicative order.
 
-Everything here is a pure function of its arguments and safe to call from
-any number of workers concurrently; ``factorize`` keeps the primes it
-trial-divides by, sieved once per process and grown on demand.
-
-``is_prime`` is a Miller-Rabin test with two witness sets: bases {2, 3}
-are exact below 1,373,653 (C. Pomerance, J. L. Selfridge, S. S. Wagstaff,
-*The pseudoprimes to 25*10^9*, Math. Comp. 35, 1980), which covers every
-prime of the full 1e6 range; larger n get the 7-witness set that is exact
-below 2^64.
+Primality is decided here only: each process keeps one sieve, grown on demand
+up to 2^22, which pool workers forked after a range was sieved inherit.
+Beyond it, Miller-Rabin answers with two witness sets: bases {2, 3} are exact
+below 1,373,653 (C. Pomerance, J. L. Selfridge, S. S. Wagstaff, *The
+pseudoprimes to 25*10^9*, Math. Comp. 35, 1980), which covers every prime of
+the full 1e6 range; larger n get the 7-witness set that is exact below 2^64.
 """
 from __future__ import annotations
 
@@ -19,14 +16,21 @@ from collections import namedtuple
 __all__ = [
     "Factorization",
     "prime_mask",
+    "prime_flags",
     "sieve_primes",
     "is_prime",
     "factorize",
     "multiplicative_order",
 ]
 
-# Small primes whose multiples is_prime rejects before Miller-Rabin.
+# Small primes whose multiples _miller_rabin rejects before its witnesses.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The process sieve, a prime_mask.  It never grows past _SIEVE_BOUND: a larger
+# limit of sieve_primes gets a mask that is not kept, and a larger n (only a
+# hand-made cache line near the prime cap) gets Miller-Rabin.
+_sieve = bytearray()
+_SIEVE_BOUND = 1 << 22
 
 # factorize's trial divisors: a bound and every prime up to it, ascending.  Each
 # process grows its own on demand; a pair, so that it is replaced in one step.
@@ -64,14 +68,37 @@ def prime_mask(limit: int) -> bytearray:
     return mask
 
 
+def _grown(top: int) -> bytearray:
+    """The process sieve, grown to reach top up to the bound: at least doubled,
+    so that rising tops sieve O(top) numbers in all."""
+    global _sieve
+    if len(_sieve) <= min(top, _SIEVE_BOUND):
+        _sieve = prime_mask(min(_SIEVE_BOUND, max(top, 2 * len(_sieve))))
+    return _sieve
+
+
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending. Empty for limit < 2."""
-    if limit < 2:
-        return []
-    return list(itertools.compress(range(limit + 1), prime_mask(limit)))
+    """All primes <= limit (none below 2), ascending, from the process sieve up to its bound."""
+    mask = _grown(limit) if limit <= _SIEVE_BOUND else prime_mask(limit)
+    return list(itertools.compress(range(limit + 1), mask))
+
+
+def prime_flags(ns: list[int]) -> list:
+    """Whether each n in ns is prime (a sieve byte or a bool).  One Miller-Rabin
+    proof costs about as much as sieving 1000 numbers, so the sieve grows over
+    the span beyond it only where the ns fill it that densely."""
+    n = len(_sieve)
+    top = max(filter(_SIEVE_BOUND.__ge__, ns), default=0)
+    mask = _grown(top) if top >= n and 1000 * sum(map(n.__le__, ns)) >= top - n else _sieve
+    return [mask[x] if 0 <= x < len(mask) else is_prime(x) for x in ns]
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: the process sieve where it reaches, else _miller_rabin."""
+    return _sieve[n] == 1 if 0 <= n < len(_sieve) else _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
     """Deterministic primality test, exact for all n < 2^64 (see the module docstring)."""
     if n < 2:
         return False

@@ -25,8 +25,8 @@ that is not 14 plain decimal integers, found by a regular expression, and
 the lines above it are parsed the same way.  The records are built straight
 from the columns, with no per-record dict.  The row ``_first_broken``
 returns names the first bad line as ``path:line``.  Primality comes from
-one sieve, grown only over spans that the cached p fill densely enough to
-pay for it, and from Miller-Rabin elsewhere.  A prime listed twice must have
+``numtheory.prime_flags``, which reads the process sieve and grows it only
+over spans that the cached p fill densely.  A prime listed twice must have
 the same record both times.  ``CacheRecord(...)``, ``from_line`` and
 ``from_lines`` run the loader's own block function on the lines they stand
 for, so the writer refuses exactly what the reader refuses.  The census
@@ -49,9 +49,9 @@ import re
 from collections import namedtuple
 from itertools import islice, repeat
 from operator import eq, indexOf, is_, is_not, le, mod, mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .numtheory import is_prime, prime_mask
+from .numtheory import prime_flags
 from .sequence import _L_FOR_LSD, PRIME_CAP, ReciprocalSpec, _broken_period
 
 __all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache"]
@@ -62,10 +62,6 @@ CACHE_HEADER = "dseq-cache,v1"
 # faster and held about 2 MB more at its peak when loading the 1e5 cache.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_LINES = 1024  # lines of one block that from_lines checks
-
-# The sieve never grows past this bound: a larger cached p (only a hand-made
-# line near PRIME_CAP) gets Miller-Rabin instead of a mask of up to 2 GB.
-_SIEVE_BOUND = 1 << 22
 
 # What a line of 14 fields leaves when its digits are deleted.
 _SKELETON_ROW = b"," * 13 + b"\n"
@@ -83,16 +79,16 @@ class CacheCorruptionError(Exception):
 
 
 def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence,
-                  counts: Sequence, prime: Sequence) -> tuple[int, str] | None:
+                  counts: Sequence) -> tuple[int, str] | None:
     """The first row that breaks a record rule, with that rule's message, or None.
 
-    The arguments are columns of one length: the fields of each row, and
-    whether its p is prime.  A row is the ints of a line that is 14 plain
-    decimal integers, so no count is negative, or None in every column for
-    a line that is not.  Each rule is checked on the rows before the first
-    failure found so far, which therefore obey every rule before it.  T >= 1
-    needs no rule: k*T = p - 1 with p prime makes T nonzero, and counts
-    summing to T make it positive.
+    The arguments are columns of one length, the fields of each row.  A row
+    is the ints of a line that is 14 plain decimal integers, so no count is
+    negative, or None in every column for a line that is not.  Each rule is
+    checked on the rows before the first failure found so far, which
+    therefore obey every rule before it (so only p <= PRIME_CAP is tested
+    for primality).  T >= 1 needs no rule: k*T = p - 1 with p prime makes T
+    nonzero, and counts summing to T make it positive.
     """
     rules = (  # (a bool per row, the message for row i)
         (lambda: map(is_not, p, repeat(None)), lambda i: "not 14 plain decimal integers"),
@@ -101,7 +97,7 @@ def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence
          lambda i: f"l={l[i]} does not invert -{p[i]} mod 10"),
         (lambda: map(eq, map(mul, cofactor, period), map(sub, p, repeat(1))),
          lambda i: f"cofactor {cofactor[i]} * period {period[i]} != p - 1"),
-        (lambda: prime, lambda i: "not prime"),
+        (lambda: prime_flags(p[:rows]), lambda i: "not prime"),
         (lambda: map(is_, map(_broken_period, p, period, counts), repeat(None)),
          lambda i: _broken_period(p[i], period[i], counts[i])),
     )
@@ -143,38 +139,13 @@ class CacheRecord(namedtuple("CacheRecord", "p l period counts"), ReciprocalSpec
     @classmethod
     def from_lines(cls, lines: list[str]) -> list["CacheRecord"]:
         """The records of these lines; ValueError unless every line would load."""
-        return cls._from_lines(lines, _Primes())
-
-    @classmethod
-    def _from_lines(cls, lines: list[str], primes: "_Primes") -> list["CacheRecord"]:
-        """from_lines with primality from primes, a sieve shared across calls."""
         records = []
         for i in range(0, len(lines), _BLOCK_LINES):
-            block, failure = _block_records("\n".join(lines[i:i + _BLOCK_LINES]), primes.flags)
+            block, failure = _block_records("\n".join(lines[i:i + _BLOCK_LINES]))
             if failure is not None:
                 raise ValueError(failure[1])
             records += block
         return records
-
-
-class _Primes:
-    """Primality of cached p: one sieve, grown where the p are dense, and Miller-Rabin."""
-
-    def __init__(self) -> None:
-        self.mask = bytearray()
-
-    def flags(self, ps: list[int]) -> list:
-        """Whether each p in ps is prime (a sieve byte or a bool); False above PRIME_CAP."""
-        top = max(filter(_SIEVE_BOUND.__ge__, ps), default=0)
-        n = len(self.mask)
-        # One Miller-Rabin proof costs about as much as sieving 1000 numbers, so
-        # the sieve grows only over a span that the p beyond it fill that densely.
-        if top >= n and 1000 * sum(map(n.__le__, ps)) >= top - n:
-            # at least doubled, so that a cache in ascending order sieves O(top) in all
-            self.mask = prime_mask(min(_SIEVE_BOUND, max(top, 2 * n)))
-        mask = self.mask
-        n = len(mask)
-        return [mask[p] if 0 <= p < n else p <= PRIME_CAP and is_prime(p) for p in ps]
 
 
 def _fields(lines: str) -> list[int] | None:
@@ -191,8 +162,7 @@ def _fields(lines: str) -> list[int] | None:
         return None
 
 
-def _block_records(block: str, prime_flags: Callable[[list[int]], list]
-                   ) -> tuple[list[CacheRecord], tuple[int, str] | None]:
+def _block_records(block: str) -> tuple[list[CacheRecord], tuple[int, str] | None]:
     """The records of a block's lines above the first bad one, and _first_broken's failure."""
     flat = _fields(block)
     broken = flat is None
@@ -201,11 +171,10 @@ def _block_records(block: str, prime_flags: Callable[[list[int]], list]
         flat = _fields(head[:-1]) if head else []
     p, l, period, cofactor = (flat[j::14] for j in range(4))
     counts = list(zip(*(flat[j::14] for j in range(4, 14))))
-    prime = prime_flags(p)
     if broken:  # that line: each field fails the first rule
-        for column in (p, l, period, cofactor, counts, prime):
+        for column in (p, l, period, cofactor, counts):
             column.append(None)
-    failure = _first_broken(p, l, period, cofactor, counts, prime)
+    failure = _first_broken(p, l, period, cofactor, counts)
     good = len(p) if failure is None else failure[0]
     rows = islice(zip(p, l, period, counts), good)
     return list(map(tuple.__new__, repeat(CacheRecord), rows)), failure
@@ -276,13 +245,12 @@ class ResultCache:
                 raise CacheCorruptionError(
                     f"{self.path}: unrecognized header {text[: start - 1]!r}"
                 )
-        primes = _Primes()
         lineno = self._lines + 1 + (start > 0)
         while start < len(text):
             stop = text.find("\n", start + _BLOCK_CHARS)
             if stop < 0:
                 stop = len(text) - 1  # the text ends with a newline
-            records, failure = _block_records(text[start:stop], primes.flags)
+            records, failure = _block_records(text[start:stop])
             self._add_loaded(records, lineno)  # a conflict above the bad line comes first
             if failure is not None:
                 raise CacheCorruptionError(f"{self.path}:{lineno + failure[0]}: {failure[1]}")
@@ -364,10 +332,10 @@ class ResultCache:
             if new:
                 self._write(new)
 
-    def _append_lines(self, lines: list[str], primes: _Primes) -> list[CacheRecord]:
-        """The records of these lines, as CacheRecord._from_lines; the new ones are
+    def _append_lines(self, lines: list[str]) -> list[CacheRecord]:
+        """The records of these lines, as CacheRecord.from_lines; the new ones are
         appended as these very lines, through append_many."""
-        records = CacheRecord._from_lines(lines, primes)
+        records = CacheRecord.from_lines(lines)
         # a line that loads is its record's to_line(), so the pairing is by p alone
         self._read = {rec.p: line for rec, line in zip(records, lines)}
         try:

@@ -94,16 +94,15 @@ def test_batch_records_orders_and_caches(tmp_path):
 
 
 @pytest.mark.parametrize("jobs, cpus, primes, size", [
-    (64, 4, [7, 11, 13, 17, 19, 23], 4),  # clamped to the cores
+    (64, 4, [7, 11, 13, 17, 19, 23], 4),  # clamped to the CPUs it may use
     (64, 4, [7, 11, 13], 3),  # clamped to the primes to compute
     (3, 8, [7, 11, 13, 17], 3),  # the asked-for size when it fits
-    (64, None, [7, 11, 13], None),  # unknown core count: one, so no pool
+    (64, None, [7, 11, 13], None),  # no affinity mask, unknown core count: one, so no pool
     (64, 4, [7], None),  # one prime: no pool
 ])
 def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
     import multiprocessing  # census imports it only to start a pool
-
-    import dseq.census
+    import os
 
     asked = []
 
@@ -122,11 +121,46 @@ def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
         def imap(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(dseq.census.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     recs = batch_records(primes, jobs=jobs)
     assert asked == ([] if size is None else [size])
     assert recs == batch_records(primes)
+
+
+def test_no_pool_when_pinned_to_one_cpu(monkeypatch):
+    # the affinity mask bounds the pool, not the machine's core count
+    import multiprocessing
+    import os
+
+    def no_pool(processes):
+        raise AssertionError(f"started a pool of {processes}")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    primes = census_primes(3000)
+    assert batch_records(primes, jobs=2) == batch_records(primes)
+
+
+def test_no_miller_rabin_below_a_sieved_limit(monkeypatch):
+    # census_primes grows the process sieve; classifying and counting its
+    # primes then reads primality from it, for p and the factors of p - 1
+    from dseq import numtheory
+
+    def unexpected(n):
+        raise AssertionError(f"Miller-Rabin on {n}")
+
+    monkeypatch.setattr(numtheory, "_sieve", bytearray())
+    primes = census_primes(20_000)[-40:]
+    monkeypatch.setattr(numtheory, "_miller_rabin", unexpected)
+    assert [rec.p for rec in batch_records(primes)] == primes
+    assert [classify(p).p for p in primes] == primes
 
 
 @pytest.mark.parametrize("run", [
@@ -136,10 +170,9 @@ def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
 def test_pool_works_under_spawn(monkeypatch, capsys, run):
     # a spawned worker imports dseq afresh and unpickles the task and its chunk
     import multiprocessing
+    import os
 
-    import dseq.census
-
-    monkeypatch.setattr(dseq.census.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     pooled = run(2), capsys.readouterr().out
     assert pooled == (run(1), capsys.readouterr().out)

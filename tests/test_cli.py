@@ -226,11 +226,13 @@ def test_limit_flag_equals_positional(capsys):
     census = ["--lsd", "1", "--parity", "even", "--length", "half"]
     for command, extra in (("verify", []), ("figure", []), ("scan-parity", []),
                            ("census", census)):
-        for bad in ("-5", "+5", "5_0", "5.0", "x"):
-            assert run_cli(capsys, command, *extra, bad, "--no-cache")[0] == 1
+        for bad in ("-5", "+5", "5_0", "5.0", "x", "\u00b2"):  # a superscript two
+            code, out, err = run_cli(capsys, command, *extra, bad, "--no-cache")
+            assert (code, out) == (1, ""), (command, bad)
+            assert "unrecognized argument" in err
             code, out, err = run_cli(capsys, command, *extra, "--limit", bad, "--no-cache")
             assert (code, out) == (1, ""), (command, bad)
-            assert "--limit" in err
+            assert "--limit: must be an integer >= 0" in err
 
 
 def test_format_flag_equals_positional(capsys):

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dseq import numtheory
 from dseq.numtheory import (
     Factorization,
+    _miller_rabin,
     factorize,
     is_prime,
     multiplicative_order,
+    prime_flags,
     sieve_primes,
 )
 
@@ -41,23 +44,32 @@ def test_is_prime_examples():
 
 
 def test_is_prime_matches_sieve():
+    # Miller-Rabin never reads the sieve, so it checks it independently
     primes = set(sieve_primes(10_000))
     for n in range(10_001):
-        assert is_prime(n) == (n in primes)
+        assert _miller_rabin(n) == is_prime(n) == (n in primes)
 
 
 def test_witness_sets_exact_across_first_bound():
     # bases {2, 3} are exact below 1373653, the 7-witness set above it
     lo, hi = 1_360_000, 1_390_000
     primes = set(p for p in sieve_primes(hi) if p >= lo)
-    assert [n for n in range(lo, hi + 1) if is_prime(n)] == sorted(primes)
+    assert [n for n in range(lo, hi + 1) if _miller_rabin(n)] == sorted(primes)
     # strong pseudoprimes to bases 2, 3 and to bases 2, 3, 5
-    assert not is_prime(1373653)  # 829 * 1657
-    assert not is_prime(25326001)  # 2251 * 11251
+    assert not _miller_rabin(1373653)  # 829 * 1657
+    assert not _miller_rabin(25326001)  # 2251 * 11251
 
 
 def test_sieve_to_prime_below_1e6():
     assert len(sieve_primes(999983)) == 78498
+
+
+def test_prime_flags(monkeypatch):
+    monkeypatch.setattr(numtheory, "_sieve", bytearray())
+    ns = [-7, 0, 1, 2, 9, 601, 999983, 2**61 - 1]
+    assert list(map(bool, prime_flags(ns))) == [False, False, False, True, False, True, True,
+                                                True]
+    assert len(numtheory._sieve) <= 999983  # eight numbers pay for no sieve of that size
 
 
 def test_factorize_examples():

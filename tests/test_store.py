@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dseq import census, store
+from dseq import census, numtheory
 from dseq.census import batch_records, census_primes
 from dseq.numtheory import prime_mask, sieve_primes
 from dseq.sequence import (
@@ -20,7 +20,7 @@ from dseq.sequence import (
     histogram,
     long_division_digits,
 )
-from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache, _Primes
+from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
 
 
 def _record(p: int) -> CacheRecord:
@@ -281,7 +281,7 @@ def test_checked_lines_written_as_they_are(tmp_path, monkeypatch):
     with ResultCache(path) as cache:
         cache.append(REC_7)
         monkeypatch.setattr(CacheRecord, "to_line", None)
-        records = cache._append_lines(lines, _Primes())  # 7 is an identical re-append
+        records = cache._append_lines(lines)  # 7 is an identical re-append
     assert records == [_record(p) for p in (3, 7, 601)]
     assert path.read_text() == "".join(
         line + "\n" for line in [CACHE_HEADER, lines[1], lines[0], lines[2]])
@@ -327,17 +327,23 @@ def _write_cache(path, lines, newline="\n"):
     path.write_bytes("".join(f"{x}{newline}" for x in [CACHE_HEADER, *lines]).encode())
 
 
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """An empty process sieve for one test, so that one grown earlier proves nothing."""
+    monkeypatch.setattr(numtheory, "_sieve", bytearray())
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-def test_bulk_load_equals_from_line(tmp_path, monkeypatch, lines_to_2e4, newline):
+def test_bulk_load_equals_from_line(tmp_path, monkeypatch, fresh_sieve, lines_to_2e4, newline):
     path = tmp_path / "c.csv"
     _write_cache(path, lines_to_2e4, newline)
 
     def unexpected(*args):
         raise AssertionError("a valid cache took Miller-Rabin")
 
-    # primality comes from the sieve
+    # primality comes from the sieve, which the load grows
     with monkeypatch.context() as patched:
-        patched.setattr(store, "is_prime", unexpected)
+        patched.setattr(numtheory, "is_prime", unexpected)
         cache = ResultCache(path)
     assert len(cache) == len(lines_to_2e4)
     for line in lines_to_2e4:
@@ -371,7 +377,7 @@ def test_one_corrupted_field_is_refused_at_its_line(tmp_path_factory, lines_to_2
         ResultCache(path)
 
 
-def test_prime_near_cap_loads_without_a_sieve_of_its_size(tmp_path, monkeypatch):
+def test_prime_near_cap_loads_without_a_sieve_of_its_size(tmp_path, monkeypatch, fresh_sieve):
     p = 2147483629  # the largest full-length prime not above PRIME_CAP
     rec = CacheRecord(p, 1, p - 1, _full_length_counts(p))
     path = tmp_path / "c.csv"
@@ -382,24 +388,24 @@ def test_prime_near_cap_loads_without_a_sieve_of_its_size(tmp_path, monkeypatch)
         sieved.append(limit)
         return prime_mask(limit)
 
-    monkeypatch.setattr(store, "prime_mask", recorded)
+    monkeypatch.setattr(numtheory, "prime_mask", recorded)
     with ResultCache(path) as cache:
         assert cache.lookup(p) == rec and cache.lookup(7) == REC_7
-    assert sieved and max(sieved) <= store._SIEVE_BOUND
+    assert sieved and max(sieved) <= numtheory._SIEVE_BOUND
 
 
-def test_few_large_primes_get_no_sieve_of_their_size(tmp_path, monkeypatch):
-    big = CacheRecord(999983, 3, 999982, _full_length_counts(999983))
-    small = [_record(p) for p in (7, 13, 17, 19, 23, 29, 31)]
-    path = tmp_path / "c.csv"
-    _write_cache(path, [rec.to_line() for rec in small] + [big.to_line()])
+def test_few_large_primes_get_no_sieve_of_their_size(tmp_path, monkeypatch, fresh_sieve):
     sieved = []
 
     def recorded(limit):
         sieved.append(limit)
         return prime_mask(limit)
 
-    monkeypatch.setattr(store, "prime_mask", recorded)
+    monkeypatch.setattr(numtheory, "prime_mask", recorded)  # before any record is made
+    big = CacheRecord(999983, 3, 999982, _full_length_counts(999983))
+    small = [_record(p) for p in (7, 13, 17, 19, 23, 29, 31)]
+    path = tmp_path / "c.csv"
+    _write_cache(path, [rec.to_line() for rec in small] + [big.to_line()])
     with ResultCache(path) as cache:
         assert cache.lookup(999983) == big and cache.lookup(31) == small[-1]
     assert CacheRecord.from_lines([big.to_line()]) == [big]
