@@ -430,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a cache path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CacheCorruptionError as exc:

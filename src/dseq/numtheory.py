@@ -2,10 +2,10 @@
 
 Primality is decided here only: each process keeps one sieve, grown on demand
 up to 2^22, which pool workers forked after a range was sieved inherit.
-Beyond it, Miller-Rabin answers with two witness sets: bases {2, 3} are exact
-below 1,373,653 (C. Pomerance, J. L. Selfridge, S. S. Wagstaff, *The
-pseudoprimes to 25*10^9*, Math. Comp. 35, 1980), which covers every prime of
-the full 1e6 range; larger n get the 7-witness set that is exact below 2^64.
+Beyond it, Miller-Rabin answers with one set of 7 witnesses, exact for every
+n below 2^64 (found by J. Sinclair, 2011).  The sieve answers for every prime
+of a range a command lists, so Miller-Rabin runs only for the few numbers
+beyond it, such as a prime that ``digits`` or ``tables`` asks about.
 """
 from __future__ import annotations
 
@@ -36,9 +36,7 @@ _SIEVE_BOUND = 1 << 22
 # process grows its own on demand; a pair, so that it is replaced in one step.
 _divisors: tuple[int, list[int]] = (1, [])
 
-# Miller-Rabin witness sets (see the module docstring): {2, 3} is exact below
-# _MR_BOUND_2_3, the 7-witness set for every n < 2^64.
-_MR_BOUND_2_3 = 1_373_653
+# Miller-Rabin witnesses, exact for every n < 2^64 (see the module docstring).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
@@ -110,8 +108,7 @@ def _miller_rabin(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = (2, 3) if n < _MR_BOUND_2_3 else _MR_WITNESSES
-    for a in witnesses:
+    for a in _MR_WITNESSES:
         a %= n
         if a == 0:
             continue

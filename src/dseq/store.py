@@ -12,6 +12,7 @@ when it is 14 plain decimal integers (no sign, and no ``+5``, ``05`` or
 passes its fields column by column:
 
 - p <= PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, and p prime;
+- k even exactly when 10 is a square mod p, which p mod 40 decides;
 - the counts can be a period histogram of 1/p: ``sequence._broken_period``
   checks that they sum to T and obey the proven lemmas (N_p at full length,
   the Midy mirror for an even T, the complement for an odd T = (p-1)/2, and
@@ -20,36 +21,36 @@ passes its fields column by column:
 Loading runs it on blocks of about 64 KiB (some 1,100 lines).  Deleting a
 block's digits must leave exactly 13 commas on every line and nothing else;
 the block is then one flat ``json.loads`` of its fields, and column j is
-``flat[j::14]``.  A block that fails either step is cut at its first line
-that is not 14 plain decimal integers, found by a regular expression, and
-the lines above it are parsed the same way.  The records are built straight
-from the columns, with no per-record dict.  The row ``_first_broken``
-returns names the first bad line as ``path:line``.  Primality comes from
-``numtheory.prime_flags``, which reads the process sieve and grows it only
-over spans that the cached p fill densely.  A prime listed twice must have
-the same record both times.  ``CacheRecord(...)``, ``from_line`` and
-``from_lines`` run the loader's own block function on the lines they stand
-for, so the writer refuses exactly what the reader refuses.  The census
-workers return lines, and the cache appends the records it reads back from
-them as those very lines.
+``flat[j::14]``.  ``_fields`` is this grammar.  A block that fails it is
+parsed line by line with ``_fields`` up to its first line that fails.  The
+records are built straight from the columns, with no per-record dict.  The
+row ``_first_broken`` returns names the first bad line as ``path:line``.
+Primality comes from ``numtheory.prime_flags``, which reads the process
+sieve and grows it only over spans that the cached p fill densely.  A prime
+listed twice must have the same record both times.  ``CacheRecord(...)``,
+``from_line`` and ``from_lines`` cut the lines they stand for into the
+loader's own blocks, so the writer refuses exactly what the reader refuses.
+The census workers return lines, and the cache appends the records it reads
+back from them as those very lines.
 
 Concurrency contract: any number of processes may read and append.  Each
 ``append_many`` is one write under an exclusive ``fcntl.flock``.  Under the
 lock, a tail with no line break can only be torn, and is clipped first; then
 the lines that other writers appended since this process last read the file
 are checked and indexed as loading would, and only the records still new are
-written.  So each prime is written once, and a record that contradicts
-another writer's raises ``CacheCorruptionError``.
+written.  So each prime is written once.  A record that contradicts the
+index, another writer's included, raises ``CacheCorruptionError`` there,
+before anything of its batch is written.  A batch that holds only records
+already indexed takes no lock.
 """
 from __future__ import annotations
 
 import json
 import os
-import re
 from collections import namedtuple
 from itertools import islice, repeat
 from operator import eq, indexOf, is_, is_not, le, mod, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .numtheory import prime_flags
 from .sequence import _L_FOR_LSD, PRIME_CAP, ReciprocalSpec, _broken_period
@@ -61,17 +62,13 @@ CACHE_HEADER = "dseq-cache,v1"
 # Characters of the file parsed at once.  A parse of the whole file was no
 # faster and held about 2 MB more at its peak when loading the 1e5 cache.
 _BLOCK_CHARS = 1 << 16
-_BLOCK_LINES = 1024  # lines of one block that from_lines checks
 
 # What a line of 14 fields leaves when its digits are deleted.
 _SKELETON_ROW = b"," * 13 + b"\n"
 
-# The start of the first line that is not 14 plain decimal integers (for
-# re.search with re.M, compiled on first use).  A field of 20 or more digits
-# breaks some rule anyway; refusing it here spares int() a string of
-# thousands of digits.
-_FIELD = r"(?:0|[1-9][0-9]{0,18})"
-_FIRST_BAD_LINE = rf"^(?!{_FIELD}(?:,{_FIELD}){{13}}$)"
+# The parity of k = (p-1)/T, by p mod 40, for a prime p that ends in 1, 3, 7
+# or 9 (see _first_broken).
+_K_PARITY = tuple(int(r not in (1, 3, 9, 13, 27, 31, 37, 39)) for r in range(40))
 
 
 class CacheCorruptionError(Exception):
@@ -89,6 +86,12 @@ def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence
     therefore obey every rule before it (so only p <= PRIME_CAP is tested
     for primality).  T >= 1 needs no rule: k*T = p - 1 with p prime makes T
     nonzero, and counts summing to T make it positive.
+
+    k is even exactly when 10 is a square mod p.  By Euler's criterion,
+    10^((p-1)/2) = (10/p) mod p, and T divides (p-1)/2 exactly when that
+    power is 1.  (10/p) = (2/p)(p/5) is fixed by p mod 40, so k is even
+    exactly when p mod 40 is 1, 3, 9, 13, 27, 31, 37 or 39.  This refuses a
+    record that swaps full and half length, whose other rules can all hold.
     """
     rules = (  # (a bool per row, the message for row i)
         (lambda: map(is_not, p, repeat(None)), lambda i: "not 14 plain decimal integers"),
@@ -98,6 +101,10 @@ def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence
         (lambda: map(eq, map(mul, cofactor, period), map(sub, p, repeat(1))),
          lambda i: f"cofactor {cofactor[i]} * period {period[i]} != p - 1"),
         (lambda: prime_flags(p[:rows]), lambda i: "not prime"),
+        (lambda: map(eq, map(mod, cofactor, repeat(2)),
+                     map(_K_PARITY.__getitem__, map(mod, p, repeat(40)))),
+         lambda i: f"cofactor {cofactor[i]} is {('even', 'odd')[cofactor[i] % 2]}, but 10 is "
+                   f"{('not ', '')[cofactor[i] % 2]}a square mod {p[i]}"),
         (lambda: map(is_, map(_broken_period, p, period, counts), repeat(None)),
          lambda i: _broken_period(p[i], period[i], counts[i])),
     )
@@ -140,8 +147,7 @@ class CacheRecord(namedtuple("CacheRecord", "p l period counts"), ReciprocalSpec
     def from_lines(cls, lines: list[str]) -> list["CacheRecord"]:
         """The records of these lines; ValueError unless every line would load."""
         records = []
-        for i in range(0, len(lines), _BLOCK_LINES):
-            block, failure = _block_records("\n".join(lines[i:i + _BLOCK_LINES]))
+        for block, failure in _blocks("".join(line + "\n" for line in lines), 0):
             if failure is not None:
                 raise ValueError(failure[1])
             records += block
@@ -158,7 +164,7 @@ def _fields(lines: str) -> list[int] | None:
         return None
     try:
         return json.loads("[" + lines.replace("\n", ",") + "]")
-    except ValueError:  # an empty field, or a leading zero
+    except ValueError:  # an empty field, a leading zero, or more digits than int() reads
         return None
 
 
@@ -166,9 +172,12 @@ def _block_records(block: str) -> tuple[list[CacheRecord], tuple[int, str] | Non
     """The records of a block's lines above the first bad one, and _first_broken's failure."""
     flat = _fields(block)
     broken = flat is None
-    if broken:  # parse the lines above the first that is not 14 plain decimal integers
-        head = block[:re.search(_FIRST_BAD_LINE, block, re.M).start()]
-        flat = _fields(head[:-1]) if head else []
+    if broken:  # the fields of the lines above the first that is not 14 plain decimal integers
+        flat = []
+        for fields in map(_fields, block.split("\n")):
+            if fields is None:
+                break
+            flat += fields
     p, l, period, cofactor = (flat[j::14] for j in range(4))
     counts = list(zip(*(flat[j::14] for j in range(4, 14))))
     if broken:  # that line: each field fails the first rule
@@ -178,6 +187,17 @@ def _block_records(block: str) -> tuple[list[CacheRecord], tuple[int, str] | Non
     good = len(p) if failure is None else failure[0]
     rows = islice(zip(p, l, period, counts), good)
     return list(map(tuple.__new__, repeat(CacheRecord), rows)), failure
+
+
+def _blocks(text: str, start: int) -> Iterator[tuple[list[CacheRecord], tuple[int, str] | None]]:
+    """_block_records of each block of about _BLOCK_CHARS of text's whole lines
+    from index start on; text ends with a line break."""
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK_CHARS)
+        if stop < 0:
+            stop = len(text) - 1
+        yield _block_records(text[start:stop])
+        start = stop + 1
 
 
 def _conflict(p: int) -> str:
@@ -246,16 +266,11 @@ class ResultCache:
                     f"{self.path}: unrecognized header {text[: start - 1]!r}"
                 )
         lineno = self._lines + 1 + (start > 0)
-        while start < len(text):
-            stop = text.find("\n", start + _BLOCK_CHARS)
-            if stop < 0:
-                stop = len(text) - 1  # the text ends with a newline
-            records, failure = _block_records(text[start:stop])
+        for records, failure in _blocks(text, start):
             self._add_loaded(records, lineno)  # a conflict above the bad line comes first
             if failure is not None:
                 raise CacheCorruptionError(f"{self.path}:{lineno + failure[0]}: {failure[1]}")
             lineno += len(records)
-            start = stop + 1
         self._lines = lineno - 1
 
     def _add_loaded(self, records: list[CacheRecord], lineno: int) -> None:
@@ -274,7 +289,8 @@ class ResultCache:
 
         Under the lock, the records that other writers appended since this cache
         last saw the end of the file are checked and indexed first, as loading
-        would, so that none of theirs is written twice.
+        would, so that none of theirs is written twice.  A record that disagrees
+        with the index then raises, and nothing is written.
         """
         import fcntl  # here, not at the top: commands that only read never load it
 
@@ -319,18 +335,15 @@ class ResultCache:
         self.append_many([record])
 
     def append_many(self, records: Iterable[CacheRecord]) -> None:
-        """Add the new records in one write (see append)."""
-        new: dict[int, CacheRecord] = {}
-        try:
-            for rec in records:
-                existing = self._records.get(rec.p) or new.get(rec.p)
-                if existing is None:
-                    new[rec.p] = rec
-                elif existing != rec:
-                    raise CacheCorruptionError(_conflict(rec.p))
-        finally:
-            if new:
-                self._write(new)
+        """Add the new records in one write (see append); a batch with a conflict
+        writes nothing."""
+        batch: dict[int, CacheRecord] = {}
+        for rec in records:
+            if batch.setdefault(rec.p, rec) != rec:
+                raise CacheCorruptionError(_conflict(rec.p))
+        index = self._records
+        if any(index.get(p) != rec for p, rec in batch.items()):
+            self._write(batch)  # which checks them against the index, under the lock
 
     def _append_lines(self, lines: list[str]) -> list[CacheRecord]:
         """The records of these lines, as CacheRecord.from_lines; the new ones are

@@ -410,6 +410,10 @@ CORRUPT = {
     "semantic_before_grammar": (_cache_bytes(
         [L7, L601.replace(",300,2,", ",300,3,"), L13, "garbage"]), 3),
     "conflict_before_broken": (_cache_bytes([L601, OTHER_601, L7, "garbage"]), 3),
+    # k = (p-1)/T is even exactly when 10 is a square mod p: 601 (half length)
+    # as full length with its N_p, and 17 (full length) as half length
+    "full_for_half": (_cache_bytes([L7, "601,9,600,1," + ",".join(["60"] * 10)]), 3),
+    "half_for_full": (_cache_bytes([L7, "17,7,8,2,1,1,2,0,0,0,0,2,1,1"]), 3),
 }
 
 
@@ -547,3 +551,14 @@ def test_two_writers_share_one_cache(tmp_path):
     fresh = _dseq(*verify, "--cache", str(tmp_path / "fresh.csv"),
                   stderr=subprocess.PIPE).communicate()
     assert shared == fresh
+
+
+@pytest.mark.parametrize("argv", [["profile", "601", "--cache", "."],
+                                  ["figure", "100", "--cache", "missing/c.csv"]],
+                         ids=["cache_is_a_directory", "cache_in_a_missing_directory"])
+def test_cache_path_io_error_is_one_error_line(tmp_path, argv):
+    child = _dseq(*argv, cwd=tmp_path, stderr=subprocess.PIPE)
+    out, err = child.communicate()
+    assert (child.returncode, out) == (1, b"")
+    assert err.startswith(b"error: [Errno ") and err.count(b"\n") == 1
+    assert b"Traceback" not in err

@@ -138,6 +138,27 @@ def test_conflicting_append_rejected(tmp_path):
             cache.append(other)
 
 
+def test_batch_with_a_conflict_writes_nothing(tmp_path):
+    other = CacheRecord(601, 9, 300, (36, 28, 28, 30, 28, 28, 30, 28, 28, 36))
+    path = tmp_path / "c.csv"
+    with ResultCache(path) as cache:
+        cache.append(REC_601)
+        before = path.read_bytes()
+        with pytest.raises(CacheCorruptionError, match="new record for prime 601 disagrees"):
+            cache.append_many([REC_7, other])  # against the index
+        with pytest.raises(CacheCorruptionError, match="new record for prime 601 disagrees"):
+            cache.append_many([REC_7, other, REC_601])  # within the batch
+        assert cache.lookup(7) is None and len(cache) == 1
+    assert path.read_bytes() == before
+
+
+def test_identical_re_append_takes_no_lock(tmp_path, monkeypatch):
+    with ResultCache(tmp_path / "c.csv") as cache:
+        cache.append_many([REC_7, REC_601])
+        monkeypatch.setattr(cache, "_write", None)  # a write would call it
+        cache.append_many([REC_601, REC_7, REC_601])
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("not-a-cache\n601,9,300,2,35,28,28,31,28,28,31,28,28,35\n")
@@ -358,7 +379,9 @@ def _corruptions(value: int):
     return st.one_of(
         st.integers(-10**6, 10**7).filter(lambda v: v != value).map(str),
         st.sampled_from([f"+{value}", f"0{value}", f"{value}.0", f"{value} {value}",
-                         "", "x", "[1]", f'"{value}"']),
+                         "", "x", "[1]", f'"{value}"',
+                         # 20 digits, and more than int() reads from text by default
+                         "1" * 20, "1" * 4301]),
     )
 
 
@@ -412,6 +435,19 @@ def test_few_large_primes_get_no_sieve_of_their_size(tmp_path, monkeypatch, fres
     assert max(sieved, default=0) < 1000  # Miller-Rabin proves 999983 instead
 
 
+@pytest.mark.parametrize("count", ["1" * 20, "1" * 4301], ids=["20_digits", "4301_digits"])
+def test_long_field_message_does_not_depend_on_the_line_below(tmp_path, count):
+    line = REC_601.to_line().replace(",35,", f",{count},", 1)
+    messages = []
+    for below in (_record(13).to_line(), "garbage"):
+        path = tmp_path / "c.csv"
+        _write_cache(path, [REC_7.to_line(), line, below])
+        with pytest.raises(CacheCorruptionError, match="c.csv:3: ") as refused:
+            ResultCache(path)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("field", ["+35", "035", "3_5"])
 def test_fields_only_int_reads_are_refused(tmp_path, field):
     line = REC_601.to_line().replace(",35,", f",{field},", 1)
@@ -440,8 +476,13 @@ def test_fields_only_int_reads_are_refused(tmp_path, field):
     # 31 with h = -1 and 43 (p = 3 mod 8) with g = 2: on the shape, out of bounds
     ("31,9,15,2,0,2,3,1,1,2,2,0,1,3", "h = -1 and g = 4"),
     ("43,3,21,2,2,4,0,5,4,0,0,4,0,2", "h = 3 and g = 2"),
+    # 601 (half length) as full length with N_p, and 17 (full length) as half length:
+    # every other rule holds, but k is even exactly when 10 is a square mod p
+    ("601,9,600,1,60,60,60,60,60,60,60,60,60,60", "cofactor 1 is odd, but 10 is a square"),
+    ("17,7,8,2,1,1,2,0,0,0,0,2,1,1", "cofactor 2 is even, but 10 is not a square"),
 ], ids=["mirror", "full_length", "complement", "times_two_square", "times_two_non_square",
-        "shape_7_mod_8", "shape_3_mod_8", "h_below_1", "g_below_4"])
+        "shape_7_mod_8", "shape_3_mod_8", "h_below_1", "g_below_4", "full_for_half",
+        "half_for_full"])
 def test_record_contradicting_a_lemma_is_refused_at_load(tmp_path, line, lemma):
     p = int(line.split(",")[0])
     with pytest.raises(ValueError, match=f"record for {p}: .*{lemma}"):
