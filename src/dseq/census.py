@@ -10,11 +10,13 @@ caller has already classified it here, to drop some with ``keep`` or to
 check its class), counts its digits and returns its cache line.  The
 chunk's odd-period half-length primes take their counts from two class
 numbers (``classnumber``) when that is cheaper; the rest go to
-``sequence.histogram``.  The task runs in a worker pool for jobs > 1 and in
-process otherwise; the parent checks each chunk's lines as loading would and
-appends the chunk as soon as it arrives, in order.  Appends are therefore ascending, the same bytes for
-any worker count, and an interrupted run keeps every finished chunk.  Every
-result comes back in input order, with or without a cache.
+``sequence.histogram``, which takes them from one kernel call per chunk
+(``sequence.counted_ahead``).  The task runs in a worker pool for jobs > 1
+and in process otherwise; the parent checks each chunk's lines as loading
+would and appends the chunk as soon as it arrives, in order.  Appends are
+therefore ascending, the same bytes for any worker count, and an interrupted
+run keeps every finished chunk.  Every result comes back in input order, with
+or without a cache.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .sequence import (
     DigitHistogram,
     ReciprocalSpec,
     _numpy,
+    counted_ahead,
     histogram,
 )
 from .store import CacheRecord, ResultCache, _line
@@ -85,9 +88,9 @@ _CLASS_NUMBER_BOUND = 1 << 20
 
 # A chunk's odd-half primes take the class numbers when their periods sum to
 # more than this many times the table entries the process must add first.
-# Measured on 2 CPUs: an entry costs about 100 ns, and the kernel 15 ns a digit
-# for p near 5e4 and 4.5-5 ns for p near 1e6.
-_DIGITS_PER_TABLE_ENTRY = 20
+# Measured on 2 CPUs, for batches of 128 odd-half primes: an entry costs 70-100
+# ns, and the kernel 2.5-3.7 ns a digit for p near 5e4 and 2.3-2.6 ns near 1e6.
+_DIGITS_PER_TABLE_ENTRY = 30
 
 
 def _count_chunk(items: list) -> list[str]:
@@ -104,8 +107,9 @@ def _count_chunk(items: list) -> list[str]:
         added = classnumber.table_entries_to_add(max(primes))
         if sum(s.period for s in odd_half) > _DIGITS_PER_TABLE_ENTRY * added:
             counts = dict(zip(primes, classnumber.odd_half_counts(primes)))
-    return [_line(s.p, s.l, s.period, s.cofactor,
-                  counts[s.p] if s.p in counts else histogram(s).counts) for s in specs]
+    with counted_ahead([s for s in specs if s.p not in counts]):
+        return [_line(s.p, s.l, s.period, s.cofactor,
+                      counts[s.p] if s.p in counts else histogram(s).counts) for s in specs]
 
 
 def _counted(

@@ -24,8 +24,9 @@ count it:
 
 ``histogram`` takes the first, second and last branch, and counts every odd
 period whole, so it stays the oracle of the third.  Counting runs long
-division on about 2**13 residues at a time in two buffers, so its memory
-does not grow with p.
+division three digits a step, in float64, on up to 2**13 lanes that hold
+the residues of up to 128 primes at once, so its memory grows neither with
+p nor with the number of primes.
 
 numpy is imported inside the counting kernel, not here: commands served
 from the results cache never count digits, and importing numpy would be a
@@ -39,8 +40,10 @@ a per-instance dict, and unpickled without being checked again.  Importing
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+from bisect import bisect_right
 from collections import namedtuple
 from operator import add
 from typing import Iterator
@@ -63,8 +66,8 @@ __all__ = [
     "histogram",
 ]
 
-# Largest admissible prime.  Keeps every intermediate product in the
-# histogram kernel below 2^62, i.e. exactly representable in uint64.
+# Largest admissible prime.  Below 2^31, the counting kernel's float64 step is
+# exact (see _count_batch), and its lane starts multiply below 2^62 in uint64.
 PRIME_CAP = 2**31 - 1
 
 # l by last digit of p: the unique digit with l*p = 9 (mod 10).
@@ -76,9 +79,11 @@ FULL = "full"
 HALF = "half"
 OTHER = "other"
 
-# Residues advanced together by the counting kernel.  Fewer lanes take more
-# steps; 2**13 measured faster than 2**12 or 2**15 for primes below 1e6.
+# Lanes and primes the counting kernel advances together (_count_batch).  On
+# the kernel primes to 1e5, 2**13 lanes measured faster than 2**12 or 2**14,
+# and 128 primes faster than 64; the bins then take 1 MB.
 _LANES = 1 << 13
+_BATCH_PRIMES = 128
 
 
 def _check_prime(p: int) -> None:
@@ -252,8 +257,9 @@ def _broken_period(p: int, period: int, f: tuple[int, ...]) -> str | None:
       p = 3 (mod 8), 3h = 2f(1) + 2f(3) - N_p(1) - N_p(3), and f(0) =
       N_p(0)/2 needs p to end in 3 or 7, where N_p(1) + N_p(3) = 2m + 1.
     """
-    if sum(f) != period:
-        return f"counts sum to {sum(f)}, period is {period}"
+    if sum(f) != period:  # str() may refuse 640 digits or more (4300 by default)
+        shown = sum(f) if sum(f) < 10**640 else "10**640 or more"
+        return f"counts sum to {shown}, period is {period}"
     if period == p - 1:
         if f != _full_length_counts(p):
             return f"full length, but counts {f} are not N_p = {_full_length_counts(p)}"
@@ -316,50 +322,103 @@ def _numpy():
     return numpy
 
 
-def _count_digits(p: int, n: int) -> list[int]:
-    """Counts of floor(10 * r_i / p) over r_i = 10**i mod p, i = 0..n-1.
+# Digit counts by (p, n) that counted_ahead made, for _count_digits to serve.
+_ahead: dict[tuple[int, int], list[int]] = {}
 
-    Long division run on up to _LANES lanes at once: lane j starts at
-    position j*steps and takes one step ``t = 10r; digit = t // p;
-    r = t - digit*p`` per iteration, so the quotient of each step is the digit
-    and no separate extraction pass is needed.  Reductions mod p go through
-    floor division, which numpy does several times faster than remainder for
-    a uint64 scalar divisor.
+
+def _count_digits(p: int, n: int) -> list[int]:
+    """Counts of floor(10 * r_i / p) over r_i = 10**i mod p, i = 0..n-1."""
+    return _ahead.get((p, n)) or _count_batch([(p, n)])[0]
+
+
+def _count_batch(pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """_count_digits(p, n) of each pair, in one run of long division on lanes.
+
+    Pair j's first 3*(n // 3) digits are cut into lanes of s steps (its last
+    lane is shorter), with s the least that keeps the batch within _LANES
+    lanes: a long period gets longer lanes, not more.  A lane holds r, p and
+    1/p as float64, and a step ``t = 1000r; q = floor(t * (1/p));
+    r = t - q*p`` gives three digits q, counted in bin 1000j + q.  The lanes
+    run longest first, so those still running are a prefix.  The bins'
+    digits give the counts, and the last n % 3 digits lead one more q.
+
+    The step is exact for p <= PRIME_CAP < 2^31.  r < p, so t < 2^41, and t,
+    q*p < 2^41 and t - q*p are integers that float64 holds exactly.  fl(1/p)
+    and the product each round with relative error at most 2^-53, so the
+    computed t * (1/p) is within (2^-52 + 2^-106) t/p < 2^-42 of t/p, as
+    t/p < 1000.  p divides no 1000r, so t/p is at least 1/p > 2^-31 from
+    every integer, and the floor is that of t/p.
     """
     np = _numpy()
-    steps = -(-n // _LANES)
-    lanes = -(-n // steps)
-    # lane starts a**j mod p, a = 10**steps, as the product of a giant step
-    # a**(cols*i) and a baby step a**k for j = cols*i + k
-    cols = math.isqrt(lanes - 1) + 1
-    rows = -(-lanes // cols)
-    a = pow(10, steps, p)
-    baby = [1]
-    for _ in range(cols - 1):
-        baby.append(baby[-1] * a % p)
-    stride = baby[-1] * a % p
-    giant = [1]
-    for _ in range(rows - 1):
-        giant.append(giant[-1] * stride % p)
-    up = np.uint64(p)
-    r = np.empty(rows * cols, dtype=np.uint64)
-    t = np.empty(rows * cols, dtype=np.uint64)
-    np.multiply.outer(np.array(giant, dtype=np.uint64), np.array(baby, dtype=np.uint64),
-                      out=t.reshape(rows, cols))
-    np.floor_divide(t, up, out=r)
-    np.multiply(r, up, out=r)
-    np.subtract(t, r, out=r)
-    counts = np.zeros(10, dtype=np.int64)
-    ten = np.uint64(10)
-    for step in range(steps):
-        m = (n - step - 1) // steps + 1  # lanes j with j*steps + step < n
-        rm, tm = r[:m], t[:m]
-        np.multiply(rm, ten, out=tm)
-        np.floor_divide(tm, up, out=rm)
-        counts += np.bincount(rm.view(np.int64), minlength=10)
-        np.multiply(rm, up, out=rm)
-        np.subtract(tm, rm, out=rm)
-    return [int(c) for c in counts]
+    primes = np.array([p for p, _ in pairs], dtype=np.uint64)
+    steps = np.array([n // 3 for _, n in pairs])
+    s = max(1, -(-int(steps.sum()) // (_LANES - len(pairs))))
+    full = np.maximum(steps - 1, 0) // s  # lanes of s steps, before the last one
+    rest = steps - full * s
+    # the full lanes, then the last ones, longest first.  Lane k of pair j starts
+    # at a**k mod p, a = 10**(3s): a giant step a**(c*(k // c)) times a baby step
+    # a**(k % c), exact in uint64 (p^2 < 2^62)
+    last = np.argsort(-rest, kind="stable")
+    j = np.concatenate([np.repeat(np.arange(len(pairs)), full), last])
+    k = np.concatenate([np.arange(full.sum()) - np.repeat(np.cumsum(full) - full, full),
+                        full[last]])
+    a = np.array([pow(10, 3 * s, p) for p, _ in pairs], dtype=np.uint64)
+    c = math.isqrt(int(full.max())) + 1
+    baby = _powers(a, primes, c)
+    giant = _powers(baby[c - 1] * a % primes, primes, int(full.max()) // c + 1)
+    hi, pj = k // c, primes[j]  # flat indices: faster than indexing rows and columns
+    r = giant.ravel()[hi * len(pairs) + j] * baby.ravel()[(k - hi * c) * len(pairs) + j] % pj
+    r, pf = r.astype(np.float64), pj.astype(np.float64)
+    inv, base = 1.0 / pf, 1000.0 * j
+    t, q, index = np.empty_like(r), np.empty_like(r), np.empty(len(r), dtype=np.int64)
+    bins = np.zeros(1000 * len(pairs), dtype=np.int64)
+    ends = sorted(rest.tolist())
+    for step in range(s):
+        m = len(r) - bisect_right(ends, step)  # lanes with steps left
+        rm, tm, qm, im = r[:m], t[:m], q[:m], index[:m]
+        np.multiply(rm, 1000.0, out=tm)
+        np.multiply(tm, inv[:m], out=qm)
+        np.floor(qm, out=qm)
+        np.add(qm, base[:m], out=im, casting="unsafe")
+        np.add.at(bins, im, 1)
+        np.multiply(qm, pf[:m], out=qm)
+        np.subtract(tm, qm, out=rm)
+    by_hundreds = bins.reshape(len(pairs), 10, 100)
+    by_tens = by_hundreds.sum(axis=1).reshape(len(pairs), 10, 10)
+    counts = (by_hundreds.sum(axis=2) + by_tens.sum(axis=2) + by_tens.sum(axis=1)).tolist()
+    for counted, (p, n) in zip(counts, pairs):
+        for digit in f"{1000 * pow(10, n - n % 3, p) // p:03d}"[:n % 3]:
+            counted[int(digit)] += 1
+    return counts
+
+
+def _powers(x, primes, count: int):
+    """x**i mod p for i = 0..count-1 (and on to a power of two), one row per i,
+    by doubling the rows; x and the primes are uint64 arrays."""
+    np = _numpy()
+    rows = np.ones((1, len(primes)), dtype=np.uint64)
+    while len(rows) < count:
+        rows = np.concatenate([rows, rows * (rows[-1] * x % primes) % primes])
+    return rows
+
+
+@contextlib.contextmanager
+def counted_ahead(specs: list[ReciprocalSpec]) -> Iterator[None]:
+    """Within the block, histogram(spec) of each spec takes its digit counts
+    from one kernel call per _BATCH_PRIMES specs, made here.  So a caller
+    that asks for one histogram at a time pays the kernel's fixed cost per
+    batch, not per prime.  The counts, pure functions of (p, n), are kept
+    only until the block ends."""
+    # the digits that histogram counts: half of an even period, all of an odd one
+    pairs = [(s.p, s.period // 2 if s.period % 2 == 0 else s.period)
+             for s in specs if s.period != s.p - 1]
+    for i in range(0, len(pairs), _BATCH_PRIMES):
+        batch = pairs[i:i + _BATCH_PRIMES]
+        _ahead.update(zip(batch, _count_batch(batch)))
+    try:
+        yield
+    finally:
+        _ahead.clear()
 
 
 def histogram(spec: ReciprocalSpec) -> DigitHistogram:

@@ -374,6 +374,8 @@ CORRUPT = {
     "cofactor": (_cache_bytes([L7, L601.replace(",300,2,", ",300,3,")]), 3),
     "negative_count": (_cache_bytes([L7, L601.replace(",35,28,", ",64,-1,", 1)]), 3),
     "count_sum": (_cache_bytes([L7, _field(L601, "36")]), 3),
+    # as many digits as int() reads from text, so the counts sum to one digit more
+    "count_4300_digits": (_cache_bytes([L7, _field(L601, "9" * 4300)]), 3),
     "not_prime": (_cache_bytes([L7, "91,9,6,15,1,1,1,1,1,1,0,0,0,0"]), 3),
     "p_0": (_cache_bytes([L7, "0" + L7[1:]]), 3),
     "p_1": (_cache_bytes([L7, "1,9,1,0,1,0,0,0,0,0,0,0,0,0"]), 3),

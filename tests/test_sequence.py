@@ -192,3 +192,75 @@ def test_histogram_type():
         DigitHistogram((0,) * 9 + (-1,))
     assert DigitHistogram((1,) * 10).total == 10
     assert DigitHistogram((0,) * 10).total == 0
+
+
+def _oracle_counts(p, n):
+    c = Counter(long_division_digits(p, n))
+    return [c.get(d, 0) for d in range(10)]
+
+
+PRIMES_TO_2E4 = [p for p in sieve_primes(20_000) if p not in (2, 5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PRIMES_TO_2E4), st.integers(0, 3000)),
+                min_size=1, max_size=20),
+       st.data())
+def test_batched_kernel_equals_long_division(pairs, data):
+    # whatever the order of the pairs and however they are cut into batches
+    from dseq.sequence import _count_batch
+
+    expected = {pair: _oracle_counts(*pair) for pair in pairs}
+    order = data.draw(st.permutations(pairs), label="order")
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(order) - 1) if len(order) > 1
+                                    else st.nothing()), label="cuts"))
+    batches = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(order)])]
+    for batch in batches:
+        assert _count_batch(batch) == [expected[pair] for pair in batch]
+
+
+def test_batch_mixes_prime_cap_with_small_primes():
+    # one batch: lanes of PRIME_CAP, whose digit count is no multiple of 3 or of
+    # its lane length, beside primes whose digits fill less than one step
+    from dseq.sequence import _count_batch
+
+    pairs = [(3, 7), (PRIME_CAP, 3 * 2**13 + 5), (7, 1), (11, 2), (13, 0), (PRIME_CAP, 4),
+             (2147483629, 3 * 2**12 + 1), (97, 96)]
+    assert _count_batch(pairs) == [_oracle_counts(p, n) for p, n in pairs]
+
+
+def test_batch_above_the_lane_and_prime_caps():
+    # more primes than one batch takes, with more steps than it has lanes; the
+    # full-length primes among them take the closed form, not the kernel
+    from dseq import sequence
+
+    primes = PRIMES_TO_2E4[200:200 + 2 * sequence._BATCH_PRIMES + 7]
+    specs = [ReciprocalSpec.for_prime(p) for p in primes]
+    pairs = [(s.p, s.period // 2 if s.period % 2 == 0 else s.period)
+             for s in specs if s.period != s.p - 1]
+    assert len(pairs) > sequence._BATCH_PRIMES
+    assert sum(n // 3 for _, n in pairs[:sequence._BATCH_PRIMES]) > 2 * sequence._LANES
+    expected = [_oracle_counts(p, n) for p, n in pairs]
+    assert sequence._count_batch(pairs) == expected
+    with sequence.counted_ahead(specs):
+        assert sequence._ahead == dict(zip(pairs, expected))
+        assert [histogram(s).counts for s in specs] == [_long_division_counts(s) for s in specs]
+    assert sequence._ahead == {}  # nothing is kept after the block
+
+
+def test_kernel_memory_does_not_grow_with_the_digits():
+    # tracemalloc sees numpy's buffers, so this bounds the kernel's traced
+    # allocations (not the process RSS) while it counts 10^6 digits near the cap
+    import tracemalloc
+
+    from dseq.sequence import _count_digits
+
+    _count_digits(PRIME_CAP, 10)  # numpy imported and warmed up, outside the trace
+    tracemalloc.start()
+    try:
+        counts = _count_digits(PRIME_CAP, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) == 10**6
+    assert peak < 2 * 2**20

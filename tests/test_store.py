@@ -381,7 +381,9 @@ def _corruptions(value: int):
         st.sampled_from([f"+{value}", f"0{value}", f"{value}.0", f"{value} {value}",
                          "", "x", "[1]", f'"{value}"',
                          # 20 digits, and more than int() reads from text by default
-                         "1" * 20, "1" * 4301]),
+                         "1" * 20, "1" * 4301,
+                         # as many as int() reads, whose sum with the others has one more
+                         "9" * 4300]),
     )
 
 
