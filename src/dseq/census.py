@@ -7,16 +7,13 @@ Every range command goes through one pipeline.  A cache hit is the stored
 record as it is.  The misses are sorted ascending and cut into chunks, and
 one task does all of a chunk's work: it classifies each miss (unless the
 caller has already classified it here, to drop some with ``keep`` or to
-check its class), counts its digits and returns its cache line.  The
-chunk's odd-period half-length primes take their counts from two class
-numbers (``classnumber``) when that is cheaper; the rest go to
-``sequence.histogram``, which takes them from one kernel call per chunk
-(``sequence.counted_ahead``).  The task runs in a worker pool for jobs > 1
-and in process otherwise; the parent checks each chunk's lines as loading
-would and appends the chunk as soon as it arrives, in order.  Appends are
-therefore ascending, the same bytes for any worker count, and an interrupted
-run keeps every finished chunk.  Every result comes back in input order, with
-or without a cache.
+check its class), counts its digits (``counting.period_counts``) and returns
+its cache line.  The task runs in a worker pool for jobs > 1 and in process
+otherwise; the parent checks each chunk's lines as loading would and appends
+the chunk as soon as it arrives, in order.  Appends are therefore ascending,
+the same bytes for any worker count, and an interrupted run keeps every
+finished chunk.  Every result comes back in input order, with or without a
+cache.
 """
 from __future__ import annotations
 
@@ -35,9 +32,6 @@ from .sequence import (
     ClassKey,
     DigitHistogram,
     ReciprocalSpec,
-    _numpy,
-    counted_ahead,
-    histogram,
 )
 from .store import CacheRecord, ResultCache, _line
 
@@ -80,36 +74,14 @@ def _classified(
     return specs
 
 
-# Odd-period half-length primes 3 < p <= this bound can take their counts from
-# two class numbers (classnumber.odd_half_counts), whose tables in each process
-# then hold about 25p/6 bytes: 4.4 MB at the bound.  Above it the lane
-# kernel, whose memory does not grow with p, counts them.
-_CLASS_NUMBER_BOUND = 1 << 20
-
-# A chunk's odd-half primes take the class numbers when their periods sum to
-# more than this many times the table entries the process must add first.
-# Measured on 2 CPUs, for batches of 128 odd-half primes: an entry costs 70-100
-# ns, and the kernel 2.5-3.7 ns a digit for p near 5e4 and 2.3-2.6 ns near 1e6.
-_DIGITS_PER_TABLE_ENTRY = 30
-
-
 def _count_chunk(items: list) -> list[str]:
     """The cache lines of a chunk of misses; an item is a spec, or a prime to classify."""
+    from . import counting
+
     specs = [item if isinstance(item, ReciprocalSpec) else ReciprocalSpec.for_prime(item)
              for item in items]
-    odd_half = [s for s in specs
-                if 3 < s.p <= _CLASS_NUMBER_BOUND and s.cofactor == 2 and s.period % 2]
-    counts = {}
-    if odd_half:
-        from . import classnumber
-
-        primes = [s.p for s in odd_half]
-        added = classnumber.table_entries_to_add(max(primes))
-        if sum(s.period for s in odd_half) > _DIGITS_PER_TABLE_ENTRY * added:
-            counts = dict(zip(primes, classnumber.odd_half_counts(primes)))
-    with counted_ahead([s for s in specs if s.p not in counts]):
-        return [_line(s.p, s.l, s.period, s.cofactor,
-                      counts[s.p] if s.p in counts else histogram(s).counts) for s in specs]
+    return [_line(s.p, s.l, s.period, s.cofactor, counts)
+            for s, counts in zip(specs, counting.period_counts(specs))]
 
 
 def _counted(
@@ -136,13 +108,12 @@ def _counted(
         with contextlib.ExitStack() as stack:
             if workers > 1:
                 # multiprocessing here, not at the top: cache-served commands never
-                # start a pool.  The kernel's numpy and the class numbers are imported
-                # once, before the fork; importing numpy in each worker measured slower
-                # in wall and CPU time.
+                # start a pool.  The counting code, numpy with it, is imported once,
+                # before the fork; importing numpy in each worker measured slower in
+                # wall and CPU time.
                 import multiprocessing
 
-                _numpy()
-                from . import classnumber  # noqa: F401
+                from . import classnumber, counting  # noqa: F401
 
                 pool = stack.enter_context(multiprocessing.Pool(workers))
                 results = pool.imap(_count_chunk, chunks)

@@ -15,16 +15,15 @@ condition on c always holds, so the term is a lookup of how many square roots
 D has mod 4a.  Only the few a above that need the roots themselves.  Both
 come from tables per a, computed once per process.
 
-numpy is imported here at the top: only the census's counting path imports
-this module, and it counts the other primes with numpy anyway.
+numpy comes from ``counting``, the one module that counts with these class
+numbers.
 """
 from __future__ import annotations
 
 import math
 
-from .sequence import _full_length_counts, _numpy
-
-np = _numpy()
+from .counting import np
+from .sequence import _full_length_counts
 
 __all__ = ["RootTables", "class_numbers", "odd_half_counts", "table_entries_to_add"]
 

@@ -9,9 +9,10 @@ beyond it, such as a prime that ``digits`` or ``tables`` asks about.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from collections import namedtuple
+from typing import Iterator
 
 __all__ = [
     "Factorization",
@@ -78,7 +79,8 @@ def _grown(top: int) -> bytearray:
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit (none below 2), ascending, from the process sieve up to its bound."""
     mask = _grown(limit) if limit <= _SIEVE_BOUND else prime_mask(limit)
-    return list(itertools.compress(range(limit + 1), mask))
+    # the offsets of the prime bytes: no int is made for a composite
+    return [m.start() for m in re.compile(b"\x01").finditer(mask, 0, limit + 1)]
 
 
 def prime_flags(ns: list[int]) -> list:
@@ -126,9 +128,14 @@ def _miller_rabin(n: int) -> bool:
 
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division by the primes up to sqrt(n) (fine up to ~10^12)."""
-    global _divisors
     if n < 1:
         raise ValueError(f"cannot factorize {n}: must be >= 1")
+    return Factorization(n, dict(_prime_powers(n)))
+
+
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each p**e that exactly divides n >= 1, p ascending, by trial division."""
+    global _divisors
     root = math.isqrt(n)
     bound, primes = _divisors
     if root > bound:
@@ -136,21 +143,18 @@ def factorize(n: int) -> Factorization:
         bound = max(root, 2 * bound)
         primes = sieve_primes(bound)
         _divisors = bound, primes
-    remaining = n
-    factors: dict[int, int] = {}
     for p in primes:
         if p > root:
             break
-        if remaining % p == 0:
+        if n % p == 0:
             e = 0
-            while remaining % p == 0:
+            while n % p == 0:
                 e += 1
-                remaining //= p
-            factors[p] = e
-            root = math.isqrt(remaining)
-    if remaining > 1:
-        factors[remaining] = 1
-    return Factorization(n, factors)
+                n //= p
+            yield p, e
+            root = math.isqrt(n)
+    if n > 1:
+        yield n, 1
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -164,7 +168,7 @@ def multiplicative_order(a: int, m: int) -> int:
     if a % m == 0:
         raise ValueError(f"{a} is not invertible mod {m}")
     t = m - 1
-    for q in factorize(t).factors:
+    for q, _ in _prime_powers(t):
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
     return t

@@ -22,15 +22,13 @@ count it:
   census counts these primes, up to a bound, in ``classnumber``;
 - any other period is counted whole.
 
-``histogram`` takes the first, second and last branch, and counts every odd
-period whole, so it stays the oracle of the third.  Counting runs long
-division three digits a step, in float64, on up to 2**13 lanes that hold
-the residues of up to 128 primes at once, so its memory grows neither with
-p nor with the number of primes.
-
-numpy is imported inside the counting kernel, not here: commands served
-from the results cache never count digits, and importing numpy would be a
-large share of their run time.
+``counting`` picks one of these for each prime, and only it imports numpy:
+commands served from the results cache never count digits, and numpy would
+be a large share of their run time.  It runs long division three digits a
+step, in float64, on up to 2**13 lanes that hold the residues of up to 128
+primes at once, so its memory grows neither with p nor with the number of
+primes.  ``histogram`` takes the first, second and last way, and counts
+every odd period whole, so it stays the oracle of the third.
 
 The records here and in the other modules are namedtuples with validating
 ``__init__`` methods: immutable, compared and hashed by their fields, without
@@ -40,10 +38,6 @@ a per-instance dict, and unpickled without being checked again.  Importing
 """
 from __future__ import annotations
 
-import contextlib
-import math
-import os
-from bisect import bisect_right
 from collections import namedtuple
 from operator import add
 from typing import Iterator
@@ -67,7 +61,8 @@ __all__ = [
 ]
 
 # Largest admissible prime.  Below 2^31, the counting kernel's float64 step is
-# exact (see _count_batch), and its lane starts multiply below 2^62 in uint64.
+# exact (see counting._count_batch), and its lane starts multiply below 2^62 in
+# uint64.
 PRIME_CAP = 2**31 - 1
 
 # l by last digit of p: the unique digit with l*p = 9 (mod 10).
@@ -78,12 +73,6 @@ ODD = "odd"
 FULL = "full"
 HALF = "half"
 OTHER = "other"
-
-# Lanes and primes the counting kernel advances together (_count_batch).  On
-# the kernel primes to 1e5, 2**13 lanes measured faster than 2**12 or 2**14,
-# and 128 primes faster than 64; the bins then take 1 MB.
-_LANES = 1 << 13
-_BATCH_PRIMES = 128
 
 
 def _check_prime(p: int) -> None:
@@ -310,130 +299,14 @@ def _broken_shape(p: int, period: int, f: tuple[int, ...], n_p: tuple[int, ...])
     return None
 
 
-def _numpy():
-    """numpy, imported with one OpenBLAS thread unless the environment names a count.
-
-    dseq calls no BLAS routine, and the thread pool that OpenBLAS starts on
-    import costs CPU time in every counting process.
-    """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy
-
-    return numpy
-
-
-# Digit counts by (p, n) that counted_ahead made, for _count_digits to serve.
-_ahead: dict[tuple[int, int], list[int]] = {}
-
-
-def _count_digits(p: int, n: int) -> list[int]:
-    """Counts of floor(10 * r_i / p) over r_i = 10**i mod p, i = 0..n-1."""
-    return _ahead.get((p, n)) or _count_batch([(p, n)])[0]
-
-
-def _count_batch(pairs: list[tuple[int, int]]) -> list[list[int]]:
-    """_count_digits(p, n) of each pair, in one run of long division on lanes.
-
-    Pair j's first 3*(n // 3) digits are cut into lanes of s steps (its last
-    lane is shorter), with s the least that keeps the batch within _LANES
-    lanes: a long period gets longer lanes, not more.  A lane holds r, p and
-    1/p as float64, and a step ``t = 1000r; q = floor(t * (1/p));
-    r = t - q*p`` gives three digits q, counted in bin 1000j + q.  The lanes
-    run longest first, so those still running are a prefix.  The bins'
-    digits give the counts, and the last n % 3 digits lead one more q.
-
-    The step is exact for p <= PRIME_CAP < 2^31.  r < p, so t < 2^41, and t,
-    q*p < 2^41 and t - q*p are integers that float64 holds exactly.  fl(1/p)
-    and the product each round with relative error at most 2^-53, so the
-    computed t * (1/p) is within (2^-52 + 2^-106) t/p < 2^-42 of t/p, as
-    t/p < 1000.  p divides no 1000r, so t/p is at least 1/p > 2^-31 from
-    every integer, and the floor is that of t/p.
-    """
-    np = _numpy()
-    primes = np.array([p for p, _ in pairs], dtype=np.uint64)
-    steps = np.array([n // 3 for _, n in pairs])
-    s = max(1, -(-int(steps.sum()) // (_LANES - len(pairs))))
-    full = np.maximum(steps - 1, 0) // s  # lanes of s steps, before the last one
-    rest = steps - full * s
-    # the full lanes, then the last ones, longest first.  Lane k of pair j starts
-    # at a**k mod p, a = 10**(3s): a giant step a**(c*(k // c)) times a baby step
-    # a**(k % c), exact in uint64 (p^2 < 2^62)
-    last = np.argsort(-rest, kind="stable")
-    j = np.concatenate([np.repeat(np.arange(len(pairs)), full), last])
-    k = np.concatenate([np.arange(full.sum()) - np.repeat(np.cumsum(full) - full, full),
-                        full[last]])
-    a = np.array([pow(10, 3 * s, p) for p, _ in pairs], dtype=np.uint64)
-    c = math.isqrt(int(full.max())) + 1
-    baby = _powers(a, primes, c)
-    giant = _powers(baby[c - 1] * a % primes, primes, int(full.max()) // c + 1)
-    hi, pj = k // c, primes[j]  # flat indices: faster than indexing rows and columns
-    r = giant.ravel()[hi * len(pairs) + j] * baby.ravel()[(k - hi * c) * len(pairs) + j] % pj
-    r, pf = r.astype(np.float64), pj.astype(np.float64)
-    inv, base = 1.0 / pf, 1000.0 * j
-    t, q, index = np.empty_like(r), np.empty_like(r), np.empty(len(r), dtype=np.int64)
-    bins = np.zeros(1000 * len(pairs), dtype=np.int64)
-    ends = sorted(rest.tolist())
-    for step in range(s):
-        m = len(r) - bisect_right(ends, step)  # lanes with steps left
-        rm, tm, qm, im = r[:m], t[:m], q[:m], index[:m]
-        np.multiply(rm, 1000.0, out=tm)
-        np.multiply(tm, inv[:m], out=qm)
-        np.floor(qm, out=qm)
-        np.add(qm, base[:m], out=im, casting="unsafe")
-        np.add.at(bins, im, 1)
-        np.multiply(qm, pf[:m], out=qm)
-        np.subtract(tm, qm, out=rm)
-    by_hundreds = bins.reshape(len(pairs), 10, 100)
-    by_tens = by_hundreds.sum(axis=1).reshape(len(pairs), 10, 10)
-    counts = (by_hundreds.sum(axis=2) + by_tens.sum(axis=2) + by_tens.sum(axis=1)).tolist()
-    for counted, (p, n) in zip(counts, pairs):
-        for digit in f"{1000 * pow(10, n - n % 3, p) // p:03d}"[:n % 3]:
-            counted[int(digit)] += 1
-    return counts
-
-
-def _powers(x, primes, count: int):
-    """x**i mod p for i = 0..count-1 (and on to a power of two), one row per i,
-    by doubling the rows; x and the primes are uint64 arrays."""
-    np = _numpy()
-    rows = np.ones((1, len(primes)), dtype=np.uint64)
-    while len(rows) < count:
-        rows = np.concatenate([rows, rows * (rows[-1] * x % primes) % primes])
-    return rows
-
-
-@contextlib.contextmanager
-def counted_ahead(specs: list[ReciprocalSpec]) -> Iterator[None]:
-    """Within the block, histogram(spec) of each spec takes its digit counts
-    from one kernel call per _BATCH_PRIMES specs, made here.  So a caller
-    that asks for one histogram at a time pays the kernel's fixed cost per
-    batch, not per prime.  The counts, pure functions of (p, n), are kept
-    only until the block ends."""
-    # the digits that histogram counts: half of an even period, all of an odd one
-    pairs = [(s.p, s.period // 2 if s.period % 2 == 0 else s.period)
-             for s in specs if s.period != s.p - 1]
-    for i in range(0, len(pairs), _BATCH_PRIMES):
-        batch = pairs[i:i + _BATCH_PRIMES]
-        _ahead.update(zip(batch, _count_batch(batch)))
-    try:
-        yield
-    finally:
-        _ahead.clear()
-
-
 def histogram(spec: ReciprocalSpec) -> DigitHistogram:
     """Digit counts over one full period of 1/p; total equals the period.
 
-    Full length (T = p - 1): the closed form N_p.  Even T: 10**(T/2) = -1
-    (mod p), so the second half-period's residues are p - r for the first
-    half's r, and floor(10(p - r)/p) = 9 - floor(10r/p) because 10r/p is
-    never an integer; the first half's counts g give f(d) = g(d) + g(9 - d).
-    Odd T: all T digits are counted.
+    The closed form at full length, and long division on lanes otherwise
+    (``counting.lane_counts``), never class numbers: this is their oracle.
     """
-    p, period = spec.p, spec.period
-    if period == p - 1:
-        return DigitHistogram(_full_length_counts(p))
-    if period % 2 == 0:
-        g = _count_digits(p, period // 2)
-        return DigitHistogram(tuple(g[d] + g[9 - d] for d in range(10)))
-    return DigitHistogram(tuple(_count_digits(p, period)))
+    if spec.period == spec.p - 1:
+        return DigitHistogram(_full_length_counts(spec.p))
+    from . import counting
+
+    return DigitHistogram(counting.lane_counts([spec])[0])

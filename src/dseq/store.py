@@ -340,7 +340,8 @@ class ResultCache:
         batch: dict[int, CacheRecord] = {}
         for rec in records:
             if batch.setdefault(rec.p, rec) != rec:
-                raise CacheCorruptionError(_conflict(rec.p))
+                raise CacheCorruptionError(f"two different records for prime {rec.p} in one "
+                                           "batch (records are pure functions of p; this is a bug)")
         index = self._records
         if any(index.get(p) != rec for p, rec in batch.items()):
             self._write(batch)  # which checks them against the index, under the lock

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseq import census, classnumber
-from dseq.census import _CLASS_NUMBER_BOUND, _count_chunk
+from dseq import classnumber
+from dseq.census import _count_chunk
 from dseq.cli import main
+from dseq.counting import _CLASS_NUMBER_BOUND, _count_batch
 from dseq.numtheory import is_prime, multiplicative_order, sieve_primes
-from dseq.sequence import ReciprocalSpec, _count_digits
+from dseq.sequence import ReciprocalSpec, histogram
 from dseq.store import _line
 
 
@@ -22,7 +23,7 @@ def _odd_half(p: int) -> bool:
 
 
 def _kernel(p: int) -> tuple[int, ...]:
-    return tuple(_count_digits(p, (p - 1) // 2))
+    return tuple(_count_batch([(p, (p - 1) // 2)])[0])
 
 
 def _reduced_forms(m: int) -> int:
@@ -89,7 +90,7 @@ def test_chunk_sends_only_odd_half_primes_up_to_the_bound(monkeypatch):
     lines = _count_chunk(items)
     assert sent == [p for p in small if _odd_half(p)]
     specs = [ReciprocalSpec.for_prime(p) for p in items]
-    assert lines == [_line(s.p, s.l, s.period, s.cofactor, census.histogram(s).counts)
+    assert lines == [_line(s.p, s.l, s.period, s.cofactor, histogram(s).counts)
                      for s in specs]
 
 

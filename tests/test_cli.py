@@ -459,7 +459,8 @@ print(json.dumps({"imported": [m for m in json.loads(sys.argv[2]) if m in sys.mo
 """
 
 # Modules that no warm command needs, except verify's own rule checks.
-_HEAVY = ["dataclasses", "inspect", "numpy", "multiprocessing", "dseq.invariants"]
+_HEAVY = ["dataclasses", "inspect", "numpy", "multiprocessing", "dseq.invariants",
+          "dseq.counting", "dseq.classnumber"]
 
 
 def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
@@ -481,7 +482,7 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
 
 
 def test_interrupted_cold_run_keeps_finished_chunks(capsys, tmp_path, monkeypatch):
-    import dseq.census
+    import dseq.counting
 
     argv = ["figure", "3000", "csv", "--jobs", "1"]
     fresh = tmp_path / "fresh.csv"
@@ -490,19 +491,20 @@ def test_interrupted_cold_run_keeps_finished_chunks(capsys, tmp_path, monkeypatc
 
     primes = census_primes(3000)
     chunk = len(primes) // 8  # one worker cuts the misses into eight chunks
-    histogram, calls = dseq.census.histogram, []
+    period_counts, calls = dseq.counting.period_counts, []
 
-    def interrupted(spec):
-        calls.append(spec.p)
-        if len(calls) > chunk + chunk // 2:  # in the middle of the second chunk
+    def interrupted(specs):
+        calls.append(len(specs))
+        if len(calls) > 1:  # while the second chunk is counted
             raise KeyboardInterrupt
-        return histogram(spec)
+        return period_counts(specs)
 
     path = tmp_path / "c.csv"
-    monkeypatch.setattr(dseq.census, "histogram", interrupted)
+    monkeypatch.setattr(dseq.counting, "period_counts", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main([*argv, "--cache", str(path)])
     monkeypatch.undo()
+    assert calls == [chunk, chunk]
     lines = fresh.read_text().splitlines(keepends=True)
     assert path.read_text() == "".join(lines[:1 + chunk])  # the first chunk, ascending
 

@@ -178,11 +178,11 @@ def test_half_length_times_two_and_five_relations(p):
 
 def test_kernel_exact_at_prime_cap():
     # residues near 2**31 make the kernel's uint64 products approach 2**62
-    from dseq.sequence import _count_digits
+    from dseq.counting import _count_batch
 
     n = 3 * 2**13 + 5  # several steps, and lanes of unequal length
     c = Counter(long_division_digits(PRIME_CAP, n))
-    assert _count_digits(PRIME_CAP, n) == [c.get(d, 0) for d in range(10)]
+    assert _count_batch([(PRIME_CAP, n)]) == [[c.get(d, 0) for d in range(10)]]
 
 
 def test_histogram_type():
@@ -208,7 +208,7 @@ PRIMES_TO_2E4 = [p for p in sieve_primes(20_000) if p not in (2, 5)]
        st.data())
 def test_batched_kernel_equals_long_division(pairs, data):
     # whatever the order of the pairs and however they are cut into batches
-    from dseq.sequence import _count_batch
+    from dseq.counting import _count_batch
 
     expected = {pair: _oracle_counts(*pair) for pair in pairs}
     order = data.draw(st.permutations(pairs), label="order")
@@ -222,7 +222,7 @@ def test_batched_kernel_equals_long_division(pairs, data):
 def test_batch_mixes_prime_cap_with_small_primes():
     # one batch: lanes of PRIME_CAP, whose digit count is no multiple of 3 or of
     # its lane length, beside primes whose digits fill less than one step
-    from dseq.sequence import _count_batch
+    from dseq.counting import _count_batch
 
     pairs = [(3, 7), (PRIME_CAP, 3 * 2**13 + 5), (7, 1), (11, 2), (13, 0), (PRIME_CAP, 4),
              (2147483629, 3 * 2**12 + 1), (97, 96)]
@@ -232,20 +232,19 @@ def test_batch_mixes_prime_cap_with_small_primes():
 def test_batch_above_the_lane_and_prime_caps():
     # more primes than one batch takes, with more steps than it has lanes; the
     # full-length primes among them take the closed form, not the kernel
-    from dseq import sequence
+    from dseq import counting
 
-    primes = PRIMES_TO_2E4[200:200 + 2 * sequence._BATCH_PRIMES + 7]
+    primes = PRIMES_TO_2E4[200:200 + 2 * counting._BATCH_PRIMES + 7]
     specs = [ReciprocalSpec.for_prime(p) for p in primes]
     pairs = [(s.p, s.period // 2 if s.period % 2 == 0 else s.period)
              for s in specs if s.period != s.p - 1]
-    assert len(pairs) > sequence._BATCH_PRIMES
-    assert sum(n // 3 for _, n in pairs[:sequence._BATCH_PRIMES]) > 2 * sequence._LANES
-    expected = [_oracle_counts(p, n) for p, n in pairs]
-    assert sequence._count_batch(pairs) == expected
-    with sequence.counted_ahead(specs):
-        assert sequence._ahead == dict(zip(pairs, expected))
-        assert [histogram(s).counts for s in specs] == [_long_division_counts(s) for s in specs]
-    assert sequence._ahead == {}  # nothing is kept after the block
+    assert len(pairs) > counting._BATCH_PRIMES
+    assert sum(n // 3 for _, n in pairs[:counting._BATCH_PRIMES]) > 2 * counting._LANES
+    assert counting._count_batch(pairs) == [_oracle_counts(p, n) for p, n in pairs]
+    expected = [_long_division_counts(s) for s in specs]
+    assert counting.lane_counts(specs) == expected
+    assert counting.period_counts(specs) == expected
+    assert [histogram(s).counts for s in specs] == expected
 
 
 def test_kernel_memory_does_not_grow_with_the_digits():
@@ -253,12 +252,12 @@ def test_kernel_memory_does_not_grow_with_the_digits():
     # allocations (not the process RSS) while it counts 10^6 digits near the cap
     import tracemalloc
 
-    from dseq.sequence import _count_digits
+    from dseq.counting import _count_batch
 
-    _count_digits(PRIME_CAP, 10)  # numpy imported and warmed up, outside the trace
+    _count_batch([(PRIME_CAP, 10)])  # numpy imported and warmed up, outside the trace
     tracemalloc.start()
     try:
-        counts = _count_digits(PRIME_CAP, 10**6)
+        [counts] = _count_batch([(PRIME_CAP, 10**6)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dseq import census, numtheory
+from dseq import counting, numtheory
 from dseq.census import batch_records, census_primes
 from dseq.numtheory import prime_mask, sieve_primes
 from dseq.sequence import (
@@ -146,10 +146,16 @@ def test_batch_with_a_conflict_writes_nothing(tmp_path):
         before = path.read_bytes()
         with pytest.raises(CacheCorruptionError, match="new record for prime 601 disagrees"):
             cache.append_many([REC_7, other])  # against the index
-        with pytest.raises(CacheCorruptionError, match="new record for prime 601 disagrees"):
+        with pytest.raises(CacheCorruptionError, match="two different records for prime 601"):
             cache.append_many([REC_7, other, REC_601])  # within the batch
         assert cache.lookup(7) is None and len(cache) == 1
     assert path.read_bytes() == before
+    empty = tmp_path / "empty.csv"
+    with ResultCache(empty) as cache:
+        with pytest.raises(CacheCorruptionError, match="two different records for prime 601 in"):
+            cache.append_many([REC_7, REC_601, other])  # neither record for 601 is cached
+        assert len(cache) == 0
+    assert not empty.exists()
 
 
 def test_identical_re_append_takes_no_lock(tmp_path, monkeypatch):
@@ -504,7 +510,7 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, monkeypatch):
     with ResultCache(path) as cache:
         cache.append(REC_7)
     before = path.read_bytes()
-    monkeypatch.setattr(census, "histogram", lambda spec: DigitHistogram(swapped))
+    monkeypatch.setattr(counting, "period_counts", lambda specs: [swapped for _ in specs])
     with ResultCache(path) as cache:
         with pytest.raises(ValueError, match="record for 601: .*not mirrored"):
             batch_records([601], cache=cache)
