@@ -29,6 +29,7 @@ from .sequence import (
     HALF,
     ODD,
     OTHER,
+    PRIME_CAP,
     ClassKey,
     DigitHistogram,
     ReciprocalSpec,
@@ -170,6 +171,8 @@ def class_census(
 
 
 def census_primes(limit: int) -> list[int]:
+    if limit > PRIME_CAP:  # no prime above the cap is supported: refuse before sieving
+        raise ValueError(f"limit {limit} exceeds PRIME_CAP = {PRIME_CAP}")
     return [p for p in sieve_primes(limit) if p not in (2, 5)]
 
 

@@ -2,10 +2,9 @@
 
 Every command writes deterministic bytes for a given invocation: worker
 count and cache state never change output.  Exit codes: 0 success, 1 usage
-or input error, 3 cache corruption.  `verify` too exits 0, 1 or 3: its one
-hard check, `period`, is the record check that loading (else 3) and counting
-(else 1) already apply, so its `hard_failures` and `strong_failures` columns
-read 0 and its `violations` list is empty.
+or input error (a limit above PRIME_CAP among them), 3 cache corruption.
+Each command's handler renders its output (tables and census share the
+rows csv): every csv through `_csv`, every json through `_json`.
 """
 from __future__ import annotations
 
@@ -14,11 +13,9 @@ import contextlib
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .census import (
     ClassKey,
-    ParityScanReport,
     batch_records,
     census_primes,
     classify,
@@ -27,9 +24,6 @@ from .census import (
 )
 from .sequence import DigitHistogram, ReciprocalSpec, digit_prefix
 from .store import CacheCorruptionError, CacheRecord, ResultCache
-
-if TYPE_CHECKING:  # imported by the commands that use them
-    from .invariants import VerificationSummary
 
 __all__ = ["main", "run"]
 
@@ -84,22 +78,6 @@ def _add_limit_format(p: argparse.ArgumentParser, choices: tuple[str, ...]) -> N
     p.set_defaults(format_choices=choices)
 
 
-def _split_positional(args) -> tuple[int | None, str | None]:
-    limit = fmt = None
-    for tok in args.positional:
-        if tok.isdecimal():
-            if limit is not None:
-                raise _UsageError(f"dseq: two limits given: {limit} and {tok}")
-            limit = int(tok)
-        elif tok in args.format_choices:
-            if fmt is not None:
-                raise _UsageError(f"dseq: two formats given: {fmt} and {tok}")
-            fmt = tok
-        else:
-            raise _UsageError(f"dseq: unrecognized argument {tok!r}")
-    return limit, fmt
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dseq",
                      description="Base-10 prime reciprocal sequence toolkit")
@@ -152,14 +130,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _either(positional, option, name: str):
+    """The value given positionally or via --name: giving both is a usage error."""
+    if positional is not None and option is not None:
+        raise _UsageError(f"dseq: give the {name} either positionally or via --{name}")
+    return positional if option is None else option
+
+
 def _resolve_limit_format(args) -> tuple[int, str]:
-    pos_limit, pos_fmt = _split_positional(args)
-    if pos_limit is not None and args.limit_opt is not None:
-        raise _UsageError("dseq: give the limit either positionally or via --limit")
-    if pos_fmt is not None and args.format_opt is not None:
-        raise _UsageError("dseq: give the format either positionally or via --format")
-    limit = args.limit_opt if args.limit_opt is not None else pos_limit
-    fmt = args.format_opt if args.format_opt is not None else pos_fmt
+    limit = fmt = None
+    for tok in args.positional:
+        if tok.isdecimal():
+            if limit is not None:
+                raise _UsageError(f"dseq: two limits given: {limit} and {tok}")
+            limit = int(tok)
+        elif tok in args.format_choices:
+            if fmt is not None:
+                raise _UsageError(f"dseq: two formats given: {fmt} and {tok}")
+            fmt = tok
+        else:
+            raise _UsageError(f"dseq: unrecognized argument {tok!r}")
+    limit = _either(limit, args.limit_opt, "limit")
+    fmt = _either(fmt, args.format_opt, "format")
     if getattr(args, "full_range", False):
         if limit is not None:
             raise _UsageError("dseq: --full-range replaces the limit; drop one")
@@ -179,45 +171,17 @@ def _open_cache(args):
         yield cache
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _csv(header: str, rows) -> None:
+    """Print the header line, then one line of comma-joined fields per row."""
+    sys.stdout.write("\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n")
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _json(obj) -> None:
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-# ---------------------------------------------------------------- renderers
-
-def _rows_csv(rows: list[CacheRecord]) -> str:
-    lines = ["prime,c0,c1,c2,c3,c4,c5,c6,c7,c8,c9"]
-    for row in rows:
-        lines.append(",".join([str(row.p)] + [str(c) for c in row.counts]))
-    return "\n".join(lines) + "\n"
-
-
-def _rows_json(limit, key: ClassKey, rows: list[CacheRecord]) -> str:
-    return _json_dump({
-        "limit": limit,
-        "key": {"lsd": key.lsd, "second_parity": key.second_parity,
-                "length_class": key.length_class},
-        "rows": [{"prime": r.p, "counts": list(r.counts)} for r in rows],
-    })
-
-
-def _figure_csv(hist: DigitHistogram) -> str:
-    lines = ["digit,count"]
-    lines += [f"{d},{c}" for d, c in enumerate(hist.counts)]
-    return "\n".join(lines) + "\n"
-
-
-def _figure_json(limit: int, include_other: bool, hist: DigitHistogram) -> str:
-    return _json_dump({
-        "limit": limit,
-        "include_other": include_other,
-        "counts": list(hist.counts),
-        "total": hist.total,
-    })
+def _rows_csv(rows: list[CacheRecord]) -> None:
+    _csv("prime,c0,c1,c2,c3,c4,c5,c6,c7,c8,c9", ((row.p, *row.counts) for row in rows))
 
 
 def _figure_svg(limit: int, hist: DigitHistogram) -> str:
@@ -262,77 +226,6 @@ def _figure_svg(limit: int, hist: DigitHistogram) -> str:
     return "\n".join(parts) + "\n"
 
 
-# verify's failure columns and violations: every record it reads has passed
-# the record check, so no rule it checks can fail.
-
-def _verify_csv(summary: VerificationSummary) -> str:
-    lines = ["rule,checked,hard_failures,strong_failures,soft_passed,soft_checked"]
-    for rule, st in summary.rules.items():
-        lines.append(
-            f"{rule},{st.checked},0,0,"
-            f"{sum(st.soft_passed.values())},{len(st.soft_passed) * st.checked}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _verify_json(summary: VerificationSummary) -> str:
-    rules = []
-    for rule, st in summary.rules.items():
-        soft_rates = {
-            name: {
-                "passed": st.soft_passed[name],
-                "checked": st.checked,
-                "rate": round(st.soft_passed[name] / st.checked, 6),
-            }
-            for name in sorted(st.soft_passed)
-        }
-        rules.append({
-            "rule": rule,
-            "checked": st.checked,
-            "hard_failures": 0,
-            "strong_failures": 0,
-            "soft_rates": soft_rates,
-        })
-    return _json_dump({"limit": summary.limit, "rules": rules, "violations": []})
-
-
-def _profile_csv(prof: ReciprocalSpec) -> str:
-    return (
-        "p,l,period,k,lsd,second_parity,length_class\n"
-        f"{prof.p},{prof.l},{prof.period},{prof.cofactor},"
-        f"{prof.key.lsd},{prof.key.second_parity},{prof.key.length_class}\n"
-    )
-
-
-def _profile_json(prof: ReciprocalSpec) -> str:
-    return _json_dump({
-        "p": prof.p,
-        "l": prof.l,
-        "period": prof.period,
-        "cofactor": prof.cofactor,
-        "lsd": prof.key.lsd,
-        "second_parity": prof.key.second_parity,
-        "length_class": prof.key.length_class,
-    })
-
-
-def _scan_csv(report: ParityScanReport) -> str:
-    lines = ["lsd,second_digit,parities,count"]
-    for (lsd, b), cell in report.entries.items():
-        lines.append(f"{lsd},{b},{'|'.join(cell.parities)},{cell.count}")
-    return "\n".join(lines) + "\n"
-
-
-def _scan_json(report: ParityScanReport) -> str:
-    return _json_dump({
-        "limit": report.limit,
-        "cells": [
-            {"lsd": lsd, "second_digit": b, "parities": list(cell.parities),
-             "count": cell.count}
-            for (lsd, b), cell in report.entries.items()
-        ],
-    })
-
 
 # ----------------------------------------------------------------- handlers
 
@@ -344,10 +237,10 @@ def _cmd_digits(args) -> int:
     for d in digit_prefix(spec, args.n):  # written one 80-digit line at a time
         line.append(str(d))
         if len(line) == 80:
-            _emit("".join(line) + "\n")
+            sys.stdout.write("".join(line) + "\n")
             line = []
     if line:
-        _emit("".join(line) + "\n")
+        sys.stdout.write("".join(line) + "\n")
     return 0
 
 
@@ -356,15 +249,8 @@ def _cmd_tables(args) -> int:
 
     with _open_cache(args) as cache:
         rows = table_rows(args.number, jobs=args.jobs, cache=cache)
-    _emit(_rows_csv(rows))
+    _rows_csv(rows)
     return 0
-
-
-def _resolve_format_only(args) -> str:
-    if args.format is not None and args.format_opt is not None:
-        raise _UsageError("dseq: give the format either positionally or via --format")
-    fmt = args.format_opt if args.format_opt is not None else args.format
-    return "csv" if fmt is None else fmt
 
 
 def _cmd_figure(args) -> int:
@@ -374,11 +260,12 @@ def _cmd_figure(args) -> int:
         hist = global_digit_census(limit, include_other=include_other,
                                    jobs=args.jobs, cache=cache)
     if fmt == "csv":
-        _emit(_figure_csv(hist))
+        _csv("digit,count", enumerate(hist.counts))
     elif fmt == "json":
-        _emit(_figure_json(limit, include_other, hist))
+        _json({"limit": limit, "include_other": include_other,
+               "counts": list(hist.counts), "total": hist.total})
     else:
-        _emit(_figure_svg(limit, hist))
+        sys.stdout.write(_figure_svg(limit, hist))
     return 0
 
 
@@ -388,15 +275,37 @@ def _cmd_verify(args) -> int:
     limit, fmt = _resolve_limit_format(args)
     with _open_cache(args) as cache:
         summary = verify_range(limit, jobs=args.jobs, cache=cache)
-    _emit(_verify_csv(summary) if fmt == "csv" else _verify_json(summary))
+    # The failure columns read 0 and the violations list is empty: the one hard
+    # check, `period`, is the record check that loading (else exit 3) and
+    # counting (else exit 1) already apply, so no rule checked here can fail.
+    if fmt == "csv":
+        _csv("rule,checked,hard_failures,strong_failures,soft_passed,soft_checked",
+             ((rule, st.checked, 0, 0, sum(st.soft_passed.values()),
+               len(st.soft_passed) * st.checked) for rule, st in summary.rules.items()))
+    else:
+        rules = [{
+            "rule": rule,
+            "checked": st.checked,
+            "hard_failures": 0,
+            "strong_failures": 0,
+            "soft_rates": {name: {"passed": st.soft_passed[name], "checked": st.checked,
+                                  "rate": round(st.soft_passed[name] / st.checked, 6)}
+                           for name in sorted(st.soft_passed)},
+        } for rule, st in summary.rules.items()]
+        _json({"limit": summary.limit, "rules": rules, "violations": []})
     return 0
 
 
 def _cmd_profile(args) -> int:
-    fmt = _resolve_format_only(args)
+    fmt = _either(args.format, args.format_opt, "format")
     with _open_cache(args) as cache:
-        prof = classify(args.p, cache=cache)
-    _emit(_profile_csv(prof) if fmt == "csv" else _profile_json(prof))
+        spec = classify(args.p, cache=cache)
+    prof = {"p": spec.p, "l": spec.l, "period": spec.period, "cofactor": spec.cofactor,
+            **spec.key._asdict()}
+    if fmt == "json":
+        _json(prof)
+    else:
+        _csv("p,l,period,k,lsd,second_parity,length_class", [prof.values()])
     return 0
 
 
@@ -406,7 +315,11 @@ def _cmd_census(args) -> int:
     with _open_cache(args) as cache:
         rows = batch_records(census_primes(limit), jobs=args.jobs, cache=cache,
                              keep=lambda spec: spec.key == key)
-    _emit(_rows_csv(rows) if fmt == "csv" else _rows_json(limit, key, rows))
+    if fmt == "csv":
+        _rows_csv(rows)
+    else:
+        _json({"limit": limit, "key": key._asdict(),
+               "rows": [{"prime": r.p, "counts": list(r.counts)} for r in rows]})
     return 0
 
 
@@ -414,18 +327,21 @@ def _cmd_scan_parity(args) -> int:
     limit, fmt = _resolve_limit_format(args)
     with _open_cache(args) as cache:
         report = third_digit_parity_scan(limit, cache=cache)
-    _emit(_scan_csv(report) if fmt == "csv" else _scan_json(report))
+    cells = report.entries.items()
+    if fmt == "csv":
+        _csv("lsd,second_digit,parities,count",
+             ((lsd, b, "|".join(cell.parities), cell.count) for (lsd, b), cell in cells))
+    else:
+        _json({"limit": report.limit, "cells": [
+            {"lsd": lsd, "second_digit": b, "parities": list(cell.parities),
+             "count": cell.count}
+            for (lsd, b), cell in cells]})
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -8,7 +8,7 @@ import pytest
 
 from dseq.census import ODD, OTHER, ClassKey, batch_records, census_primes, classify
 from dseq.cli import main
-from dseq.sequence import _full_length_counts, long_division_digits
+from dseq.sequence import PRIME_CAP, _full_length_counts, long_division_digits
 from dseq.store import CACHE_HEADER, CacheRecord, ResultCache
 
 from conftest import DATA_DIR, golden_rows
@@ -444,6 +444,75 @@ def test_corrupt_cache_matrix_exit_three(capsys, tmp_path, full_length_lines, na
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys)[0] == 1
+
+
+_KEY = ["--lsd", "1", "--parity", "even", "--length", "half"]
+
+# Every command in every format, uncached, and the file under tests/data that
+# holds its exact stdout.
+GOLDEN = {
+    "cli/figure.csv": ["figure", "2000", "csv", "--no-cache"],
+    "cli/figure.json": ["figure", "2000", "json", "--no-cache"],
+    "cli/figure.svg": ["figure", "2000", "svg", "--no-cache"],
+    "cli/figure-full-half-only.csv": ["figure", "2000", "csv", "--full-half-only", "--no-cache"],
+    "cli/figure-full-half-only.json": ["figure", "2000", "json", "--full-half-only", "--no-cache"],
+    "cli/verify.csv": ["verify", "2000", "csv", "--no-cache"],
+    "cli/verify.json": ["verify", "2000", "json", "--no-cache"],
+    "cli/profile.csv": ["profile", "601", "--no-cache"],
+    "cli/profile.json": ["profile", "601", "json", "--no-cache"],
+    "cli/census.csv": ["census", "2000", *_KEY, "--no-cache"],
+    "cli/census.json": ["census", "2000", "json", *_KEY, "--no-cache"],
+    "cli/scan-parity.csv": ["scan-parity", "2000", "csv", "--no-cache"],
+    "cli/scan-parity.json": ["scan-parity", "2000", "json", "--no-cache"],
+    "cli/digits-7-200.txt": ["digits", "7", "200"],
+    "table3.csv": ["tables", "3", "--no-cache"],
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN)
+def test_every_command_and_format_prints_its_golden_bytes(capsys, golden):
+    expected = (DATA_DIR / golden).read_text()
+    assert run_cli(capsys, *GOLDEN[golden]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figure", "10", "20"], "dseq: two limits given: 10 and 20"),
+    (["figure", "csv", "json"], "dseq: two formats given: csv and json"),
+    (["verify", "500", "--limit", "600"],
+     "dseq: give the limit either positionally or via --limit"),
+    (["verify", "json", "--format", "csv"],
+     "dseq: give the format either positionally or via --format"),
+    (["profile", "601", "csv", "--format", "json"],
+     "dseq: give the format either positionally or via --format"),
+    (["verify", "100", "--full-range"], "dseq: --full-range replaces the limit; drop one"),
+    (["figure", "--full-range", "--limit", "100"],
+     "dseq: --full-range replaces the limit; drop one"),
+    (["figure", "yaml"], "dseq: unrecognized argument 'yaml'"),
+    (["figure", "10", "--bogus"], "dseq: unrecognized arguments: --bogus"),
+    (["verify", "--limit", "x"],
+     "dseq verify: argument --limit: must be an integer >= 0, got 'x'"),
+    (["scan-parity", "100", "--jobs", "0"],
+     "dseq scan-parity: argument --jobs: must be an integer >= 1, got '0'"),
+    (["frobnicate"],
+     "dseq: argument command: invalid choice: 'frobnicate' (choose from 'digits', "
+     "'tables', 'figure', 'verify', 'profile', 'census', 'scan-parity')"),
+    (["census", "1000", "--lsd", "1"],
+     "dseq census: the following arguments are required: --parity, --length"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_usage_errors_print_one_exact_line(capsys, argv, message):
+    assert run_cli(capsys, *argv, "--no-cache") == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("limit", [10**20, PRIME_CAP + 1], ids=["1e20", "cap+1"])
+@pytest.mark.parametrize("command", [["figure"], ["verify"], ["scan-parity"], ["census", *_KEY]],
+                         ids=lambda command: command[0])
+def test_limit_above_prime_cap_is_one_error_line(capsys, monkeypatch, command, limit):
+    import dseq.numtheory
+
+    # refused before anything is sieved: such a sieve would not fit in memory
+    monkeypatch.setattr(dseq.numtheory, "prime_mask", lambda n: pytest.fail(f"sieved to {n}"))
+    assert run_cli(capsys, *command, "--limit", str(limit), "--no-cache") == (
+        1, "", f"error: limit {limit} exceeds PRIME_CAP = {PRIME_CAP}\n")
 
 
 # Runs one cache-served command in a fresh interpreter; prints its exit code
