@@ -3,24 +3,26 @@
 A prime is classified by its last digit, the parity of its tens digit, and
 its length class: full (period = p-1), half (period = (p-1)/2) or other.
 
-Every range command goes through one pipeline.  A cache hit is the stored
-record as it is.  The misses are sorted ascending and cut into chunks, and
-one task does all of a chunk's work: it classifies each miss (unless the
-caller has already classified it here, to drop some with ``keep`` or to
-check its class), counts its digits (``counting.period_counts``) and returns
-its cache line.  The task runs in a worker pool for jobs > 1 and in process
-otherwise; the parent checks each chunk's lines as loading would and appends
-the chunk as soon as it arrives, in order.  Appends are therefore ascending,
-the same bytes for any worker count, and an interrupted run keeps every
-finished chunk.  Every result comes back in input order, with or without a
-cache.
+Every command that counts digits over a range goes through one pipeline,
+``batch_records``, and picks the primes it reports by class key.  A cache
+hit is the stored record as it is, kept when its key is wanted.  The misses
+are sorted ascending and cut into chunks, and one task does all of a
+chunk's work: it classifies each miss, drops those of unwanted keys, counts
+the digits of the rest (``counting.period_counts``, imported only when some
+are left) and returns their cache lines.  The task runs in a worker pool for
+jobs > 1 and in process otherwise; the parent checks each chunk's lines as
+loading would and appends the chunk as soon as it arrives, in order.
+Appends are therefore ascending, the same bytes for any worker count, and
+an interrupted run keeps every finished chunk.  Every result comes back in
+input order, with or without a cache.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from collections import namedtuple
-from typing import Callable
+from typing import Collection
 
 from .numtheory import sieve_primes
 from .sequence import (
@@ -63,41 +65,37 @@ def classify(p: int, *, cache: ResultCache | None = None) -> ReciprocalSpec:
     return ReciprocalSpec.for_prime(p)
 
 
-def _classified(
-    primes: list[int], cache: ResultCache | None
-) -> dict[int, ReciprocalSpec]:
-    """Each distinct prime's cached record, or on a miss its computed spec."""
-    specs: dict[int, ReciprocalSpec] = {}
-    for p in primes:
-        if p not in specs:
-            rec = cache.lookup(p) if cache is not None else None
-            specs[p] = rec if rec is not None else classify(p)
-    return specs
-
-
-def _count_chunk(items: list) -> list[str]:
-    """The cache lines of a chunk of misses; an item is a spec, or a prime to classify."""
+def _count_chunk(primes: list[int], keys: Collection[ClassKey] | None = None) -> list[str]:
+    """The cache lines of the primes of a chunk whose class key is in keys (all for None)."""
+    specs = [s for s in map(ReciprocalSpec.for_prime, primes) if keys is None or s.key in keys]
+    if not specs:
+        return []
     from . import counting
 
-    specs = [item if isinstance(item, ReciprocalSpec) else ReciprocalSpec.for_prime(item)
-             for item in items]
     return [_line(s.p, s.l, s.period, s.cofactor, counts)
             for s, counts in zip(specs, counting.period_counts(specs))]
 
 
-def _counted(
+def batch_records(
     primes: list[int],
-    specs: dict[int, ReciprocalSpec | int],
-    jobs: int,
-    cache: ResultCache | None,
+    *,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+    keys: Collection[ClassKey] | None = None,
 ) -> list[CacheRecord]:
-    """Records of the primes in specs, in input order.
+    """Records of the primes whose class key is in keys (all for None), in input order.
 
-    A value of specs is a cached record, a spec to count, or the prime itself
-    to classify and count.  The misses are counted in ascending chunks, and
-    each chunk is appended to the cache as soon as it is counted.
+    The misses are classified, filtered and counted in ascending chunks, in
+    the pool for jobs > 1, and each chunk is appended to the cache as soon
+    as it is counted.  The returned list depends only on the input primes
+    and keys, not on the cache.
     """
-    todo = [specs[p] for p in sorted(specs) if not isinstance(specs[p], CacheRecord)]
+    found: dict[int, CacheRecord | None] = {}  # None for a miss
+    for p in primes:
+        rec = cache.lookup(p) if cache is not None else None
+        if rec is None or keys is None or rec.key in keys:
+            found[p] = rec
+    todo = [p for p in sorted(found) if found[p] is None]
     if todo:
         # more workers than the CPUs this process may use (its affinity mask,
         # where the platform has one) or than primes to compute only cost start-up
@@ -106,6 +104,7 @@ def _counted(
         workers = min(jobs, cpus, len(todo))
         size = max(1, len(todo) // (workers * 8))
         chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+        task = functools.partial(_count_chunk, keys=keys)
         with contextlib.ExitStack() as stack:
             if workers > 1:
                 # multiprocessing here, not at the top: cache-served commands never
@@ -117,40 +116,16 @@ def _counted(
                 from . import classnumber, counting  # noqa: F401
 
                 pool = stack.enter_context(multiprocessing.Pool(workers))
-                results = pool.imap(_count_chunk, chunks)
+                results = pool.imap(task, chunks)
             else:
-                results = map(_count_chunk, chunks)
+                results = map(task, chunks)
             for lines in results:
                 # checked as loading checks them, and appended as these lines
                 computed = (CacheRecord.from_lines(lines) if cache is None
                             else cache._append_lines(lines))
                 for rec in computed:
-                    specs[rec.p] = rec
-    return [specs[p] for p in primes if p in specs]
-
-
-def batch_records(
-    primes: list[int],
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    keep: Callable[[ReciprocalSpec], bool] | None = None,
-) -> list[CacheRecord]:
-    """Records of the primes whose spec keep accepts (all by default), in input order.
-
-    Without keep, each miss is classified where it is counted, in the pool for
-    jobs > 1.  With keep, the misses are classified here first, so that those
-    it drops start no pool.  The returned list depends only on the input
-    primes, not on the cache.
-    """
-    if keep is not None:
-        specs = {p: s for p, s in _classified(primes, cache).items() if keep(s)}
-    else:
-        specs = {}
-        for p in primes:
-            rec = cache.lookup(p) if cache is not None else None
-            specs[p] = p if rec is None else rec
-    return _counted(primes, specs, jobs, cache)
+                    found[rec.p] = rec
+    return [rec for rec in map(found.get, primes) if rec is not None]
 
 
 def class_census(
@@ -161,13 +136,14 @@ def class_census(
     cache: ResultCache | None = None,
 ) -> list[CacheRecord]:
     """Histogram rows for the given primes, all of which must match key."""
-    specs = _classified(primes, cache)
-    mismatched = [p for p in primes if specs[p].key != key]
+    rows = batch_records(primes, jobs=jobs, cache=cache, keys={key})
+    kept = {rec.p for rec in rows}
+    mismatched = [p for p in primes if p not in kept]
     if mismatched:
         raise ValueError(
             f"primes do not classify to {key}: {', '.join(map(str, mismatched))}"
         )
-    return _counted(primes, specs, jobs, cache)
+    return rows
 
 
 def census_primes(limit: int) -> list[int]:
@@ -220,9 +196,10 @@ def third_digit_parity_scan(
         raise ValueError(f"scan limit must be >= 100, got {limit}")
     seen: dict[tuple[int, int], set[str]] = {}
     counts: dict[tuple[int, int], int] = {}
-    primes = [p for p in census_primes(limit) if p >= 100]
-    for p, spec in _classified(primes, cache).items():
-        if spec.cofactor != 2:
+    for p in [p for p in census_primes(limit) if p >= 100]:
+        # a hit is read as it is: classify would build a spec for each
+        rec = cache.lookup(p) if cache is not None else None
+        if (rec if rec is not None else ReciprocalSpec.for_prime(p)).cofactor != 2:
             continue
         cell = (p % 10, (p // 10) % 10)
         parity = EVEN if (p // 100) % 2 == 0 else ODD

@@ -22,7 +22,7 @@ from .census import (
     global_digit_census,
     third_digit_parity_scan,
 )
-from .sequence import DigitHistogram, ReciprocalSpec, digit_prefix
+from .sequence import PRIME_CAP, DigitHistogram, ReciprocalSpec, digit_prefix
 from .store import CacheCorruptionError, CacheRecord, ResultCache
 
 __all__ = ["main", "run"]
@@ -42,11 +42,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _nonnegative(text: str) -> int:
-    """A limit: plain decimal digits, as a positional limit is recognized."""
+def _decimal(text: str) -> str:
+    """The text of --limit: plain decimal digits, as a positional limit is recognized."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+    return text
+
+
+def _limit(text: str) -> int:
+    """The limit these decimal digits spell, positional or via --limit."""
+    digits = text.lstrip("0") or "0"  # int() refuses as many leading zeros as digits
+    try:
+        return int(digits)
+    except ValueError:  # more digits than Python converts: far above the cap
+        raise ValueError(f"limit of {len(digits)} digits exceeds PRIME_CAP = {PRIME_CAP}") from None
 
 
 def _positive(text: str) -> int:
@@ -73,7 +82,7 @@ def _add_run_options(p: argparse.ArgumentParser, *, full_range: bool = False) ->
 def _add_limit_format(p: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
     # one optional-positional pool: an integer is the limit, a word the format
     p.add_argument("positional", nargs="*", metavar="[limit] [format]")
-    p.add_argument("--limit", dest="limit_opt", type=_nonnegative, default=None)
+    p.add_argument("--limit", dest="limit_opt", type=_decimal, default=None)
     p.add_argument("--format", dest="format_opt", choices=choices, default=None)
     p.set_defaults(format_choices=choices)
 
@@ -143,14 +152,14 @@ def _resolve_limit_format(args) -> tuple[int, str]:
         if tok.isdecimal():
             if limit is not None:
                 raise _UsageError(f"dseq: two limits given: {limit} and {tok}")
-            limit = int(tok)
+            limit = _limit(tok)
         elif tok in args.format_choices:
             if fmt is not None:
                 raise _UsageError(f"dseq: two formats given: {fmt} and {tok}")
             fmt = tok
         else:
             raise _UsageError(f"dseq: unrecognized argument {tok!r}")
-    limit = _either(limit, args.limit_opt, "limit")
+    limit = _either(limit, args.limit_opt and _limit(args.limit_opt), "limit")
     fmt = _either(fmt, args.format_opt, "format")
     if getattr(args, "full_range", False):
         if limit is not None:
@@ -313,8 +322,7 @@ def _cmd_census(args) -> int:
     limit, fmt = _resolve_limit_format(args)
     key = ClassKey(args.lsd, args.parity, args.length)
     with _open_cache(args) as cache:
-        rows = batch_records(census_primes(limit), jobs=args.jobs, cache=cache,
-                             keep=lambda spec: spec.key == key)
+        rows = batch_records(census_primes(limit), jobs=args.jobs, cache=cache, keys={key})
     if fmt == "csv":
         _rows_csv(rows)
     else:

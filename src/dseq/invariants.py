@@ -171,8 +171,7 @@ def verify_range(
     counted, so only the soft sub-checks are left to run, each over all of
     its rule's records at once.
     """
-    records = batch_records(census_primes(limit), jobs=jobs, cache=cache,
-                            keep=lambda spec: spec.cofactor in (1, 2))
+    records = batch_records(census_primes(limit), jobs=jobs, cache=cache, keys=_RULE_BY_KEY)
     counts: dict[str, list[Counts]] = {rule: [] for rule in RULE_IDS}
     for rec in records:
         counts[applicable_rule(rec)].append(rec.counts)

@@ -17,7 +17,7 @@ from dseq.census import (
     third_digit_parity_scan,
 )
 from dseq.cli import main
-from dseq.invariants import check_histogram, verify_range
+from dseq.invariants import _RULE_BY_KEY, check_histogram, verify_range
 from dseq.sequence import (
     DigitHistogram,
     ReciprocalSpec,
@@ -66,8 +66,7 @@ def test_criterion_2_digit_zero_dominance(session_cache, capsys):
 def test_criterion_3_invariants_clean_to_1e5(session_cache, capsys):
     t0 = time.perf_counter()
     summary = verify_range(100_000, jobs=4, cache=session_cache)
-    records = batch_records(census_primes(100_000), cache=session_cache,
-                            keep=lambda spec: spec.cofactor in (1, 2))
+    records = batch_records(census_primes(100_000), cache=session_cache, keys=_RULE_BY_KEY)
     broken = [(r.p, r.rule) for r in (check_histogram(rec, rec) for rec in records)
               if not r.hard_passed]
     elapsed = time.perf_counter() - t0

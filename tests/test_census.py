@@ -1,3 +1,4 @@
+import os
 import sys
 from collections import Counter
 
@@ -20,7 +21,7 @@ from dseq.census import (
     third_digit_parity_scan,
 )
 from dseq.cli import main
-from dseq.invariants import verify_range
+from dseq.invariants import _RULE_BY_KEY, verify_range
 from dseq.numtheory import multiplicative_order
 from dseq.sequence import DigitHistogram, ReciprocalSpec, histogram
 from dseq.tables import table_rows
@@ -133,6 +134,39 @@ def test_batch_records_bounds_the_pool(monkeypatch, jobs, cpus, primes, size):
     assert recs == batch_records(primes)
 
 
+@pytest.mark.parametrize("keys", [
+    None, set(), {ClassKey(3, EVEN, HALF)}, {ClassKey(7, ODD, OTHER)}, _RULE_BY_KEY,
+], ids=["none", "empty", "half", "other", "rules"])
+def test_keys_only_filter_the_records(monkeypatch, tmp_path, keys):
+    from dseq.store import CACHE_HEADER, ResultCache
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    primes = census_primes(3000)
+    everything = batch_records(primes)
+    expected = [r for r in everything if keys is None or r.key in keys]
+    full = tmp_path / "full.csv"
+    with ResultCache(full) as cache:
+        batch_records(primes, cache=cache)
+    cold_bytes = []
+    for jobs in (1, 2):
+        assert batch_records(primes, jobs=jobs, keys=keys) == expected
+        cold = tmp_path / f"cold{jobs}.csv"
+        with ResultCache(cold) as cache:
+            assert batch_records(primes, jobs=jobs, cache=cache, keys=keys) == expected
+        # the cache holds exactly the kept misses, ascending
+        cold_bytes.append(cold.read_bytes() if cold.exists() else b"")
+        lines = [CACHE_HEADER, *(r.to_line() for r in expected)] if expected else []
+        assert cold_bytes[-1] == "".join(f"{line}\n" for line in lines).encode()
+        # warm: on the cache just built, and on one that holds every prime
+        warm = tmp_path / f"warm{jobs}.csv"
+        warm.write_bytes(full.read_bytes())
+        for path, content in ((cold, cold_bytes[-1]), (warm, full.read_bytes())):
+            with ResultCache(path) as cache:
+                assert batch_records(primes, jobs=jobs, cache=cache, keys=keys) == expected
+            assert (path.read_bytes() if path.exists() else b"") == content
+    assert cold_bytes[0] == cold_bytes[1]
+
+
 def test_no_pool_when_pinned_to_one_cpu(monkeypatch):
     # the affinity mask bounds the pool, not the machine's core count
     import multiprocessing
@@ -164,7 +198,7 @@ def test_no_miller_rabin_below_a_sieved_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("run", [
-    lambda jobs: verify_range(3000, jobs=jobs),  # specs classified in the parent
+    lambda jobs: verify_range(3000, jobs=jobs),  # primes and the class keys to keep
     lambda jobs: main(["figure", "3000", "csv", "--no-cache", "--jobs", str(jobs)]),  # primes
 ], ids=["verify_range", "figure"])
 def test_pool_works_under_spawn(monkeypatch, capsys, run):

@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from dseq.census import ODD, OTHER, ClassKey, batch_records, census_primes, classify
+from dseq.census import (
+    EVEN,
+    FULL,
+    ODD,
+    OTHER,
+    ClassKey,
+    batch_records,
+    census_primes,
+    classify,
+)
 from dseq.cli import main
 from dseq.sequence import PRIME_CAP, _full_length_counts, long_division_digits
 from dseq.store import CACHE_HEADER, CacheRecord, ResultCache
@@ -422,8 +431,8 @@ CORRUPT = {
 @pytest.fixture(scope="module")
 def full_length_lines():
     """Record lines of the full-length primes to 5e4: more than one 64 KiB load block."""
-    keep = lambda spec: spec.cofactor == 1  # noqa: E731
-    return [rec.to_line() for rec in batch_records(census_primes(50_000), keep=keep)]
+    keys = {ClassKey(lsd, parity, FULL) for lsd in (1, 3, 7, 9) for parity in (EVEN, ODD)}
+    return [rec.to_line() for rec in batch_records(census_primes(50_000), keys=keys)]
 
 
 @pytest.mark.parametrize("name", list(CORRUPT) + ["lemma_in_second_block"])
@@ -498,9 +507,23 @@ def test_every_command_and_format_prints_its_golden_bytes(capsys, golden):
      "'tables', 'figure', 'verify', 'profile', 'census', 'scan-parity')"),
     (["census", "1000", "--lsd", "1"],
      "dseq census: the following arguments are required: --parity, --length"),
+    # more digits than Python converts to an int: one line either way, no digits echoed
+    pytest.param(["verify", "--limit", "9" * 5000],
+                 f"error: limit of 5000 digits exceeds PRIME_CAP = {PRIME_CAP}",
+                 id="verify --limit 5000 nines"),
+    pytest.param(["verify", "9" * 5000],
+                 f"error: limit of 5000 digits exceeds PRIME_CAP = {PRIME_CAP}",
+                 id="verify 5000 nines"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
 def test_usage_errors_print_one_exact_line(capsys, argv, message):
     assert run_cli(capsys, *argv, "--no-cache") == (1, "", message + "\n")
+
+
+def test_leading_zeros_do_not_count_toward_a_limit(capsys):
+    padded = "0" * 5000 + "2000"  # more characters than Python converts to an int
+    expected = run_cli(capsys, "figure", "2000", "--no-cache")
+    assert run_cli(capsys, "figure", padded, "--no-cache") == expected
+    assert run_cli(capsys, "figure", "--limit", padded, "--no-cache") == expected
 
 
 @pytest.mark.parametrize("limit", [10**20, PRIME_CAP + 1], ids=["1e20", "cap+1"])
@@ -548,6 +571,24 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
         result = json.loads(child.stdout)
         assert result["imported"] == allowed, argv
         assert result["out"] == list(run_cli(capsys, *argv)[:2])
+
+
+def test_census_that_counts_nothing_imports_no_counting_code(capsys, tmp_path):
+    # verify caches the full- and half-length primes, so every miss of a census
+    # of half-length primes is an "other" prime, dropped before any is counted
+    cache = tmp_path / "c.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-m", "dseq.cli", "verify", "2000", "--cache", str(cache)],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
+    built = cache.read_bytes()
+    argv = ["census", "2000", *_KEY, "--jobs", "1"]
+    child = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET,
+                            json.dumps([*argv, "--cache", str(cache)]), json.dumps(_HEAVY)],
+                           check=True, env=env, capture_output=True, text=True)
+    result = json.loads(child.stdout)
+    assert result["imported"] == []
+    assert result["out"] == list(run_cli(capsys, *argv, "--no-cache")[:2])
+    assert cache.read_bytes() == built
 
 
 def test_interrupted_cold_run_keeps_finished_chunks(capsys, tmp_path, monkeypatch):

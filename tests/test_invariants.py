@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dseq.census import batch_records, census_primes, classify
 from dseq.invariants import (
+    _RULE_BY_KEY,
     RULE_IDS,
     RuleStats,
     applicable_rule,
@@ -196,8 +197,7 @@ def test_verify_range_tallies_equal_per_record_reports(tmp_path, session_cache):
         ResultCache(path)
     # on real records, verify tallies what check_histogram reports record by record
     summary = verify_range(3000, cache=session_cache)
-    records = batch_records(census_primes(3000), cache=session_cache,
-                            keep=lambda spec: spec.cofactor in (1, 2))
+    records = batch_records(census_primes(3000), cache=session_cache, keys=_RULE_BY_KEY)
     tallies = {rule: [0, {}] for rule in RULE_IDS}
     for report in (check_histogram(rec, rec) for rec in records):
         assert report.hard_passed
