@@ -49,13 +49,24 @@ def _decimal(text: str) -> str:
     return text
 
 
-def _limit(text: str) -> int:
-    """The limit these decimal digits spell, positional or via --limit."""
+def _limit(text: str, name: str = "limit") -> int:
+    """The limit (or the p) these decimal digits spell, positional or via --limit."""
     digits = text.lstrip("0") or "0"  # int() refuses as many leading zeros as digits
     try:
         return int(digits)
     except ValueError:  # more digits than Python converts: far above the cap
-        raise ValueError(f"limit of {len(digits)} digits exceeds PRIME_CAP = {PRIME_CAP}") from None
+        raise OverflowError(
+            f"{name} of {len(digits)} digits exceeds PRIME_CAP = {PRIME_CAP}") from None
+
+
+def _p(text: str) -> int:
+    """p as int() reads it; argparse passes on _limit's OverflowError: one error line."""
+    if text.isdecimal():
+        return _limit(text, "p")
+    try:
+        return int(text)
+    except ValueError:  # argparse's own words for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _positive(text: str) -> int:
@@ -93,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("digits", help="print the first n digits of 1/p")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_p)
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_digits)
 
@@ -115,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("profile", help="classify one prime")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=_p)
     p.add_argument("format", nargs="?", choices=("csv", "json"), default=None)
     p.add_argument("--format", dest="format_opt", choices=("csv", "json"),
                    default=None)
@@ -354,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:  # OSError: a cache path that cannot be read or written
+    except (ValueError, OverflowError, OSError) as exc:  # OSError: an unusable cache path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CacheCorruptionError as exc:

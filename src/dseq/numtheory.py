@@ -88,6 +88,8 @@ def prime_flags(ns: list[int]) -> list:
     proof costs about as much as sieving 1000 numbers, so the sieve grows over
     the span beyond it only where the ns fill it that densely."""
     n = len(_sieve)
+    if ns and min(ns) >= 0 and max(ns) < n:  # all inside the built sieve
+        return list(map(_sieve.__getitem__, ns))
     top = max(filter(_SIEVE_BOUND.__ge__, ns), default=0)
     mask = _grown(top) if top >= n and 1000 * sum(map(n.__le__, ns)) >= top - n else _sieve
     return [mask[x] if 0 <= x < len(mask) else is_prime(x) for x in ns]

@@ -127,9 +127,9 @@ class ReciprocalSpec(namedtuple("ReciprocalSpec", "p l period")):
 
     @property
     def key(self) -> ClassKey:
-        k = self.cofactor
-        return _KEYS[self.p % 10, (self.p // 10) % 2,
-                     FULL if k == 1 else HALF if k == 2 else OTHER]
+        p = self.p  # and k computed here: the cofactor property costs a call a record
+        k = (p - 1) // self.period
+        return _KEYS[p % 10, (p // 10) % 2, FULL if k == 1 else HALF if k == 2 else OTHER]
 
     @classmethod
     def for_prime(cls, p: int) -> "ReciprocalSpec":

@@ -33,6 +33,14 @@ loader's own blocks, so the writer refuses exactly what the reader refuses.
 The census workers return lines, and the cache appends the records it reads
 back from them as those very lines.
 
+Memory: the count columns of every block loaded or appended go through one
+sharing table, ``_shared``, whose item v is the int v, up to the largest
+count seen below ``_SHARED_BELOW``; a column with a larger count is left as
+parsed, so a record near PRIME_CAP does not grow it.  The full range's
+78,496 records then hold 10^5 count ints, not 785,000.  No collector pass
+runs while blocks become records (tuples of ints form no cycle), and the
+file's bytes are dropped once they are decoded.
+
 Concurrency contract: any number of processes may read and append.  Each
 ``append_many`` is one write under an exclusive ``fcntl.flock``.  Under the
 lock, a tail with no line break can only be torn, and is clipped first; then
@@ -45,11 +53,13 @@ already indexed takes no lock.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 from collections import namedtuple
 from itertools import islice, repeat
-from operator import eq, indexOf, is_, is_not, le, mod, mul, sub
+from operator import eq, indexOf, is_, is_not, itemgetter, le, mod, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .numtheory import prime_flags
@@ -65,6 +75,11 @@ _BLOCK_CHARS = 1 << 16
 
 # What a line of 14 fields leaves when its digits are deleted.
 _SKELETON_ROW = b"," * 13 + b"\n"
+
+# The sharing table (see the module docstring).  Its cap, 2^18 ints or about
+# 10 MB, is above every count of a prime below 2.6e6.
+_SHARED_BELOW = 1 << 18
+_shared: list[int] = []
 
 # The parity of k = (p-1)/T, by p mod 40, for a prime p that ends in 1, 3, 7
 # or 9 (see _first_broken).
@@ -147,11 +162,40 @@ class CacheRecord(namedtuple("CacheRecord", "p l period counts"), ReciprocalSpec
     def from_lines(cls, lines: list[str]) -> list["CacheRecord"]:
         """The records of these lines; ValueError unless every line would load."""
         records = []
-        for block, failure in _blocks("".join(line + "\n" for line in lines), 0):
-            if failure is not None:
-                raise ValueError(failure[1])
-            records += block
+        with _collector_paused():
+            for block, failure in _blocks("".join(line + "\n" for line in lines), 0):
+                if failure is not None:
+                    raise ValueError(failure[1])
+                records += block
         return records
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """No cyclic-collector pass while records are built: tuples of ints form no cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _share(column: list[int]) -> Sequence[int]:
+    """The column's values (no sign: see _fields) as the sharing table's ints, the
+    table grown to hold them; the column as it is if one is _SHARED_BELOW or more."""
+    if not column:
+        return column
+    try:
+        shared = itemgetter(*column)(_shared)
+    except IndexError:
+        top = max(column)
+        if top >= _SHARED_BELOW:
+            return column
+        _shared.extend(range(len(_shared), top + 1))
+        shared = itemgetter(*column)(_shared)
+    return shared if len(column) > 1 else (shared,)
 
 
 def _fields(lines: str) -> list[int] | None:
@@ -179,7 +223,7 @@ def _block_records(block: str) -> tuple[list[CacheRecord], tuple[int, str] | Non
                 break
             flat += fields
     p, l, period, cofactor = (flat[j::14] for j in range(4))
-    counts = list(zip(*(flat[j::14] for j in range(4, 14))))
+    counts = list(zip(*(_share(flat[j::14]) for j in range(4, 14))))
     if broken:  # that line: each field fails the first rule
         for column in (p, l, period, cofactor, counts):
             column.append(None)
@@ -242,6 +286,7 @@ class ResultCache:
                 "%s:%d: skipping truncated final line %r",
                 self.path, text.count("\n") + 1, data[end:].decode("utf-8", "replace"),
             )
+        del data  # indexing needs only the text
         self._index(text, end)
 
     def _decoded(self, data: bytes) -> str:
@@ -266,11 +311,12 @@ class ResultCache:
                     f"{self.path}: unrecognized header {text[: start - 1]!r}"
                 )
         lineno = self._lines + 1 + (start > 0)
-        for records, failure in _blocks(text, start):
-            self._add_loaded(records, lineno)  # a conflict above the bad line comes first
-            if failure is not None:
-                raise CacheCorruptionError(f"{self.path}:{lineno + failure[0]}: {failure[1]}")
-            lineno += len(records)
+        with _collector_paused():
+            for records, failure in _blocks(text, start):
+                self._add_loaded(records, lineno)  # a conflict above the bad line comes first
+                if failure is not None:
+                    raise CacheCorruptionError(f"{self.path}:{lineno + failure[0]}: {failure[1]}")
+                lineno += len(records)
         self._lines = lineno - 1
 
     def _add_loaded(self, records: list[CacheRecord], lineno: int) -> None:

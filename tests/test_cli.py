@@ -514,6 +514,14 @@ def test_every_command_and_format_prints_its_golden_bytes(capsys, golden):
     pytest.param(["verify", "9" * 5000],
                  f"error: limit of 5000 digits exceeds PRIME_CAP = {PRIME_CAP}",
                  id="verify 5000 nines"),
+    (["profile", "x601"], "dseq profile: argument p: invalid int value: 'x601'"),
+    pytest.param(["profile", "9" * 5000],
+                 f"error: p of 5000 digits exceeds PRIME_CAP = {PRIME_CAP}",
+                 id="profile 5000 nines"),
+    # refused while its arguments are parsed, before digits' lack of --no-cache
+    pytest.param(["digits", "9" * 5000, "5"],
+                 f"error: p of 5000 digits exceeds PRIME_CAP = {PRIME_CAP}",
+                 id="digits 5000 nines"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
 def test_usage_errors_print_one_exact_line(capsys, argv, message):
     assert run_cli(capsys, *argv, "--no-cache") == (1, "", message + "\n")

@@ -71,6 +71,9 @@ def test_prime_flags(monkeypatch):
     assert list(map(bool, prime_flags(ns))) == [False, False, False, True, False, True, True,
                                                 True]
     assert len(numtheory._sieve) <= 999983  # eight numbers pay for no sieve of that size
+    numtheory._grown(1000)  # then every n but the negative ones lies inside the built sieve
+    assert list(map(bool, prime_flags([2, 9, 601]))) == [True, False, True]
+    assert not any(prime_flags(list(range(-30, 0)) + [9, 601])[:-1])
 
 
 def test_factorize_examples():

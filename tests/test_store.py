@@ -443,6 +443,71 @@ def test_few_large_primes_get_no_sieve_of_their_size(tmp_path, monkeypatch, fres
     assert max(sieved, default=0) < 1000  # Miller-Rabin proves 999983 instead
 
 
+def test_loaded_cache_holds_few_bytes_a_record(tmp_path, lines_to_2e4):
+    import tracemalloc
+
+    path = tmp_path / "c.csv"
+    _write_cache(path, lines_to_2e4)
+    ResultCache(path)  # the sieve, the sharing table and the like are set up outside the trace
+    tracemalloc.start()
+    try:
+        cache = ResultCache(path)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # about 180 B a record with one int per distinct count, 350 B with an int for every count
+    assert len(cache) == 2260 and live / len(cache) < 260
+
+
+def test_loaded_records_share_one_int_per_count(tmp_path, lines_to_2e4):
+    path = tmp_path / "c.csv"
+    _write_cache(path, lines_to_2e4)
+    records = [*ResultCache(path)._records.values(), *CacheRecord.from_lines(lines_to_2e4[-99:]),
+               *map(CacheRecord.from_line, lines_to_2e4[-99:])]
+    counts = [c for rec in records for c in rec.counts if c > 256]  # Python caches the ints below
+    first: dict[int, int] = {}
+    assert len(counts) > 10_000 and all(first.setdefault(c, c) is c for c in counts)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_collector_state_is_restored(tmp_path, lines_to_2e4, enabled):
+    import gc
+
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    _write_cache(good, lines_to_2e4[:100])
+    _write_cache(bad, lines_to_2e4[:50] + ["601,9,300,3,35,28,28,31,28,28,31,28,28,35"])
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        ResultCache(good)
+        assert gc.isenabled() is enabled
+        CacheRecord.from_lines(lines_to_2e4[:100])
+        assert gc.isenabled() is enabled
+        with pytest.raises(CacheCorruptionError, match="bad.csv:52: "):
+            ResultCache(bad)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            CacheRecord.from_lines(["601,9,300,3,35,28,28,31,28,28,31,28,28,35"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_prime_near_cap_does_not_grow_the_sharing_table(tmp_path, monkeypatch):
+    from dseq import store
+
+    p = 2147483629  # the largest full-length prime not above PRIME_CAP
+    rec = CacheRecord(p, 1, p - 1, _full_length_counts(p))
+    path = tmp_path / "c.csv"
+    _write_cache(path, [REC_7.to_line(), rec.to_line()])
+    monkeypatch.setattr(store, "_shared", [])  # an empty table for this test
+    monkeypatch.setattr(store, "_BLOCK_CHARS", 1)  # a block a line
+    with ResultCache(path) as cache:
+        assert cache.lookup(p) == rec and cache.lookup(7) == REC_7
+    # 7's counts are 0 and 1; p's, 214748362 and 214748363, are left as parsed
+    assert store._shared == [0, 1]
+
+
 @pytest.mark.parametrize("count", ["1" * 20, "1" * 4301], ids=["20_digits", "4301_digits"])
 def test_long_field_message_does_not_depend_on_the_line_below(tmp_path, count):
     line = REC_601.to_line().replace(",35,", f",{count},", 1)
