@@ -8,7 +8,7 @@ Usage:
 Without --cache, dseq's own default applies: $DSEQ_CACHE, then ./dseq-cache.csv.
 
 With a warm cache this takes a few seconds, under one per command.  Cold, the
-census of 78496 primes dominates: 9-12 s with --jobs 2 on 2 CPUs.
+census of 78496 primes dominates: 5.5-7.0 s with --jobs 2 on 2 CPUs.
 """
 import argparse
 import contextlib

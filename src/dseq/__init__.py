@@ -25,8 +25,7 @@ _SOURCES = {
     "invariants": ("HARD", "SOFT", "RULE_IDS", "RuleReport", "RuleStats",
                    "VerificationSummary", "applicable_rule", "check_histogram",
                    "verify_range"),
-    "numtheory": ("Factorization", "factorize", "is_prime", "multiplicative_order",
-                  "sieve_primes"),
+    "numtheory": ("factorize", "is_prime", "multiplicative_order", "sieve_primes"),
     "store": ("CacheCorruptionError", "CacheRecord", "ResultCache"),
     "tables": ("TABLE_KEYS", "TABLE_PRIMES", "table_rows"),
 }

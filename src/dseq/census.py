@@ -193,7 +193,16 @@ def third_digit_parity_scan(
     *,
     cache: ResultCache | None = None,
 ) -> ParityScanReport:
-    """Scan half-length primes in [100, limit] for hundreds-digit parity patterns."""
+    """Scan half-length primes in [100, limit] for hundreds-digit parity patterns.
+
+    Each (last digit, tens digit) cell shows one hundreds parity.  A half-length
+    prime has k = 2, and k is even exactly when 10 is a square mod p, which p
+    mod 40 decides (``sequence._broken_record``).  Adding 100 to p moves p mod
+    40 by 20: p mod 8 by 4, which flips (2/p), and p mod 5 not at all, so it
+    flips (10/p) = (2/p)(p/5).  So only one of p = r and p = r + 100 (mod 200)
+    admits an even k: the hundreds digit is even exactly when 10 * tens + last
+    digit is 1, 3, 9, 13, 27, 31, 37 or 39 mod 40.
+    """
     if limit < 100:
         raise ValueError(f"scan limit must be >= 100, got {limit}")
     seen: dict[tuple[int, int], set[str]] = {}

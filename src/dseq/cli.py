@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from itertools import islice
 
 from .census import (
     ClassKey,
@@ -252,15 +253,9 @@ def _figure_svg(limit: int, hist: DigitHistogram) -> str:
 def _cmd_digits(args) -> int:
     if args.n < 0:
         raise ValueError(f"digit count must be >= 0, got {args.n}")
-    spec = ReciprocalSpec.for_prime(args.p)
-    line: list[str] = []
-    for d in digit_prefix(spec, args.n):  # written one 80-digit line at a time
-        line.append(str(d))
-        if len(line) == 80:
-            sys.stdout.write("".join(line) + "\n")
-            line = []
-    if line:
-        sys.stdout.write("".join(line) + "\n")
+    digits = map(str, digit_prefix(ReciprocalSpec.for_prime(args.p), args.n))
+    while line := "".join(islice(digits, 80)):  # written one 80-digit line at a time
+        sys.stdout.write(line + "\n")
     return 0
 
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from typing import Iterator
 
 __all__ = [
-    "Factorization",
     "prime_mask",
     "prime_flags",
     "sieve_primes",
@@ -39,23 +37,6 @@ _divisors: tuple[int, list[int]] = (1, [])
 
 # Miller-Rabin witnesses, exact for every n < 2^64 (see the module docstring).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
-
-class Factorization(namedtuple("Factorization", "n factors")):
-    """Prime factorization of a positive integer: n = prod(p**e)."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if self.n < 1:
-            raise ValueError(f"cannot factorize {self.n}: must be >= 1")
-        prod = 1
-        for p, e in self.factors.items():
-            if e < 1 or not is_prime(p):
-                raise ValueError(f"bad factor {p}^{e} for n={self.n}")
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors multiply to {prod}, not {self.n}")
 
 
 def prime_mask(limit: int) -> bytearray:
@@ -128,11 +109,12 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division by the primes up to sqrt(n) (fine up to ~10^12)."""
+def factorize(n: int) -> dict[int, int]:
+    """{p: e} for each p**e that exactly divides n >= 1, by trial division by the
+    primes up to sqrt(n) (fine up to ~10^12)."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}: must be >= 1")
-    return Factorization(n, dict(_prime_powers(n)))
+    return dict(_prime_powers(n))
 
 
 def _prime_powers(n: int) -> Iterator[tuple[int, int]]:

@@ -68,6 +68,10 @@ PRIME_CAP = 2**31 - 1
 # l by last digit of p: the unique digit with l*p = 9 (mod 10).
 _L_FOR_LSD = {1: 9, 3: 3, 7: 7, 9: 1}
 
+# The parity of k = (p-1)/T, by p mod 40, for a prime p that ends in 1, 3, 7
+# or 9: 0 where 10 is a square mod p (see _broken_record).
+_K_PARITY = tuple(int(r not in (1, 3, 9, 13, 27, 31, 37, 39)) for r in range(40))
+
 EVEN = "even"
 ODD = "odd"
 FULL = "full"
@@ -206,6 +210,37 @@ def _full_length_counts(p: int) -> tuple[int, ...]:
     m = p // 10
     a, b, c, d, e, f, g, h, i, j = _FULL_LENGTH_OFFSETS[p % 10]
     return (m + a, m + b, m + c, m + d, m + e, m + f, m + g, m + h, m + i, m + j)
+
+
+def _broken_record(p: int, l: int, period: int, cofactor: int, counts: tuple[int, ...],
+                   prime: int) -> str | None:
+    """Why (p, l, T, k, counts) cannot be a cache record of 1/p, or None.
+
+    The fields are nonnegative ints, and prime is whether p is prime.  The
+    rules are tried in this order, and the first that fails is named: p <=
+    PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, p prime, the parity of k, and
+    then ``_broken_period``.  T >= 1 needs no rule: k*T = p - 1 with p prime
+    makes T nonzero, and counts summing to T make it positive.
+
+    k is even exactly when 10 is a square mod p.  By Euler's criterion,
+    10^((p-1)/2) = (10/p) mod p, and T divides (p-1)/2 exactly when that
+    power is 1.  (10/p) = (2/p)(p/5) is fixed by p mod 40, so k is even
+    exactly when p mod 40 is 1, 3, 9, 13, 27, 31, 37 or 39.  This refuses a
+    record that swaps full and half length, whose other rules can all hold.
+    """
+    if p > PRIME_CAP:
+        return f"exceeds the supported cap {PRIME_CAP}"
+    if _L_FOR_LSD.get(p % 10) != l:
+        return f"l={l} does not invert -{p} mod 10"
+    if cofactor * period != p - 1:
+        return f"cofactor {cofactor} * period {period} != p - 1"
+    if not prime:
+        return "not prime"
+    odd = cofactor % 2
+    if odd != _K_PARITY[p % 40]:
+        return (f"cofactor {cofactor} is {('even', 'odd')[odd]}, but 10 is "
+                f"{('not ', '')[odd]}a square mod {p}")
+    return _broken_period(p, period, counts)
 
 
 def _broken_period(p: int, period: int, f: tuple[int, ...]) -> str | None:

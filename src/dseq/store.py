@@ -8,30 +8,31 @@ never change any output.
 A line is ``p,l,T,k,f(0),...,f(9)``: the prime, its multiplier digit, its
 period, the cofactor (p-1)/T and the period's digit counts.  A line loads
 when it is 14 plain decimal integers (no sign, and no ``+5``, ``05`` or
-``5_0``, which ``int`` would read) and one checker, ``_first_broken``,
-passes its fields column by column:
+``5_0``, which ``int`` would read) and its fields obey the record rules.
+``sequence._broken_record`` holds them, with their proofs, and names the
+first that a line breaks, in this order:
 
 - p <= PRIME_CAP, l*p = 9 (mod 10), k*T = p - 1, and p prime;
 - k even exactly when 10 is a square mod p, which p mod 40 decides;
-- the counts can be a period histogram of 1/p: ``sequence._broken_period``
-  checks that they sum to T and obey the proven lemmas (N_p at full length,
-  the Midy mirror for an even T, the complement for an odd T = (p-1)/2, and
-  at half length the x2 relation or the class-number shape).
+- the counts can be a period histogram of 1/p: they sum to T and obey the
+  proven lemmas (N_p at full length, the Midy mirror for an even T, the
+  complement for an odd T = (p-1)/2, and at half length the x2 relation or
+  the class-number shape).
 
-Loading runs it on blocks of about 64 KiB (some 1,100 lines).  Deleting a
+Loading reads blocks of about 64 KiB (some 1,100 lines).  Deleting a
 block's digits must leave exactly 13 commas on every line and nothing else;
 the block is then one flat ``json.loads`` of its fields, and column j is
 ``flat[j::14]``.  ``_fields`` is this grammar.  A block that fails it is
-parsed line by line with ``_fields`` up to its first line that fails.  The
-records are built straight from the columns, with no per-record dict.  The
-row ``_first_broken`` returns names the first bad line as ``path:line``.
-Primality comes from ``numtheory.prime_flags``, which reads the process
-sieve and grows it only over spans that the cached p fill densely.  A prime
-listed twice must have the same record both times.  ``CacheRecord(...)``,
-``from_line`` and ``from_lines`` cut the lines they stand for into the
-loader's own blocks, so the writer refuses exactly what the reader refuses.
-The census workers return lines, and the cache appends the records it reads
-back from them as those very lines.
+parsed line by line up to its first line that fails, and the rules check
+the lines above.  ``_first_broken`` takes the block's primality from one
+``numtheory.prime_flags`` call, which grows the process sieve only over
+spans that the cached p fill densely.  The first bad line is named as
+``path:line``.  The records are built straight from the columns, with no
+per-record dict.  A prime listed twice must have the same record both
+times.  ``CacheRecord(...)``, ``from_line`` and ``from_lines`` cut the
+lines they stand for into the loader's own blocks, so the writer refuses
+exactly what the reader refuses.  The census workers return lines, and the
+cache appends the records it reads back from them as those very lines.
 
 Memory: the count columns of every block loaded or appended go through one
 sharing table, ``_shared``, whose item v is the int v, up to the largest
@@ -59,11 +60,11 @@ import json
 import os
 from collections import namedtuple
 from itertools import islice, repeat
-from operator import eq, indexOf, is_, is_not, itemgetter, le, mod, mul, sub
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .numtheory import prime_flags
-from .sequence import _L_FOR_LSD, PRIME_CAP, ReciprocalSpec, _broken_period
+from .sequence import PRIME_CAP, ReciprocalSpec, _broken_record
 
 __all__ = ["CACHE_HEADER", "CacheRecord", "CacheCorruptionError", "ResultCache"]
 
@@ -81,10 +82,6 @@ _SKELETON_ROW = b"," * 13 + b"\n"
 _SHARED_BELOW = 1 << 18
 _shared: list[int] = []
 
-# The parity of k = (p-1)/T, by p mod 40, for a prime p that ends in 1, 3, 7
-# or 9 (see _first_broken).
-_K_PARITY = tuple(int(r not in (1, 3, 9, 13, 27, 31, 37, 39)) for r in range(40))
-
 
 class CacheCorruptionError(Exception):
     """The cache file disagrees with itself or with a new record."""
@@ -94,42 +91,16 @@ def _first_broken(p: Sequence, l: Sequence, period: Sequence, cofactor: Sequence
                   counts: Sequence) -> tuple[int, str] | None:
     """The first row that breaks a record rule, with that rule's message, or None.
 
-    The arguments are columns of one length, the fields of each row.  A row
-    is the ints of a line that is 14 plain decimal integers, so no count is
-    negative, or None in every column for a line that is not.  Each rule is
-    checked on the rows before the first failure found so far, which
-    therefore obey every rule before it (so only p <= PRIME_CAP is tested
-    for primality).  T >= 1 needs no rule: k*T = p - 1 with p prime makes T
-    nonzero, and counts summing to T make it positive.
-
-    k is even exactly when 10 is a square mod p.  By Euler's criterion,
-    10^((p-1)/2) = (10/p) mod p, and T divides (p-1)/2 exactly when that
-    power is 1.  (10/p) = (2/p)(p/5) is fixed by p mod 40, so k is even
-    exactly when p mod 40 is 1, 3, 9, 13, 27, 31, 37 or 39.  This refuses a
-    record that swaps full and half length, whose other rules can all hold.
+    The arguments are columns of one length, the fields of each row: the
+    ints of a line that is 14 plain decimal integers, so none is negative.
+    ``sequence._broken_record`` names the first rule a row breaks.  A p above
+    PRIME_CAP breaks the first rule, so it is neither sieved nor proved prime.
     """
-    rules = (  # (a bool per row, the message for row i)
-        (lambda: map(is_not, p, repeat(None)), lambda i: "not 14 plain decimal integers"),
-        (lambda: map(le, p, repeat(PRIME_CAP)), lambda i: f"exceeds the supported cap {PRIME_CAP}"),
-        (lambda: map(eq, l, map(_L_FOR_LSD.get, map(mod, p, repeat(10)))),
-         lambda i: f"l={l[i]} does not invert -{p[i]} mod 10"),
-        (lambda: map(eq, map(mul, cofactor, period), map(sub, p, repeat(1))),
-         lambda i: f"cofactor {cofactor[i]} * period {period[i]} != p - 1"),
-        (lambda: prime_flags(p[:rows]), lambda i: "not prime"),
-        (lambda: map(eq, map(mod, cofactor, repeat(2)),
-                     map(_K_PARITY.__getitem__, map(mod, p, repeat(40)))),
-         lambda i: f"cofactor {cofactor[i]} is {('even', 'odd')[cofactor[i] % 2]}, but 10 is "
-                   f"{('not ', '')[cofactor[i] % 2]}a square mod {p[i]}"),
-        (lambda: map(is_, map(_broken_period, p, period, counts), repeat(None)),
-         lambda i: _broken_period(p[i], period[i], counts[i])),
-    )
-    rows, found = len(p), None
-    for oks, message in rules:
-        if not all(islice(oks(), rows)):
-            rows = indexOf(oks(), False)
-            named = "" if p[rows] is None else f"record for {p[rows]}: "
-            found = (rows, named + message(rows))
-    return found
+    prime = prime_flags([n if n <= PRIME_CAP else 0 for n in p])
+    for row, broken in enumerate(map(_broken_record, p, l, period, cofactor, counts, prime)):
+        if broken is not None:
+            return row, f"record for {p[row]}: {broken}"
+    return None
 
 
 def _line(p: int, l: int, period: int, cofactor: int, counts: tuple[int, ...]) -> str:
@@ -213,21 +184,19 @@ def _fields(lines: str) -> list[int] | None:
 
 
 def _block_records(block: str) -> tuple[list[CacheRecord], tuple[int, str] | None]:
-    """The records of a block's lines above the first bad one, and _first_broken's failure."""
-    flat = _fields(block)
-    broken = flat is None
-    if broken:  # the fields of the lines above the first that is not 14 plain decimal integers
+    """The records of a block's lines above the first bad one, and that line's
+    row with why it is bad, or None."""
+    flat, failure = _fields(block), None
+    if flat is None:  # the fields of the lines above the first bad one, line by line
         flat = []
-        for fields in map(_fields, block.split("\n")):
+        for row, fields in enumerate(map(_fields, block.split("\n"))):
             if fields is None:
+                failure = row, "not 14 plain decimal integers"
                 break
             flat += fields
     p, l, period, cofactor = (flat[j::14] for j in range(4))
     counts = list(zip(*(_share(flat[j::14]) for j in range(4, 14))))
-    if broken:  # that line: each field fails the first rule
-        for column in (p, l, period, cofactor, counts):
-            column.append(None)
-    failure = _first_broken(p, l, period, cofactor, counts)
+    failure = _first_broken(p, l, period, cofactor, counts) or failure  # a line above comes first
     good = len(p) if failure is None else failure[0]
     rows = islice(zip(p, l, period, counts), good)
     return list(map(tuple.__new__, repeat(CacheRecord), rows)), failure

@@ -23,7 +23,7 @@ from dseq.census import (
 from dseq.cli import main
 from dseq.invariants import _RULE_BY_KEY, verify_range
 from dseq.numtheory import multiplicative_order
-from dseq.sequence import DigitHistogram, ReciprocalSpec, histogram
+from dseq.sequence import _K_PARITY, DigitHistogram, ReciprocalSpec, histogram
 from dseq.tables import table_rows
 
 from conftest import golden_rows
@@ -308,6 +308,19 @@ def test_parity_scan_examples(session_cache):
     assert cell.count == 2
     with pytest.raises(ValueError):
         third_digit_parity_scan(99)
+
+
+@pytest.mark.parametrize("limit, cells", [(1000, 30), (100_000, 40)])
+def test_parity_scan_cells_follow_p_mod_40(session_cache, limit, cells):
+    # k = 2 is even, so 10 is a square mod p; p mod 40 decides that, and the
+    # hundreds digit h adds 20h to p mod 40 (see third_digit_parity_scan)
+    squares = {r for r in range(40) if _K_PARITY[r] == 0}
+    # the table by Euler's criterion
+    assert squares == {p % 40 for p in census_primes(1000) if pow(10, (p - 1) // 2, p) == 1}
+    report = third_digit_parity_scan(limit, cache=session_cache)
+    assert len(report.entries) == cells
+    for (lsd, tens), cell in report.entries.items():
+        assert cell.parities == ((EVEN,) if (10 * tens + lsd) % 40 in squares else (ODD,))
 
 
 def test_parity_scan_counts_only_half_length(session_cache):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dseq import numtheory
 from dseq.numtheory import (
-    Factorization,
     _miller_rabin,
     factorize,
     is_prime,
@@ -77,30 +76,20 @@ def test_prime_flags(monkeypatch):
 
 
 def test_factorize_examples():
-    assert factorize(1).factors == {}
-    assert factorize(2).factors == {2: 1}
-    assert factorize(360).factors == {2: 3, 3: 2, 5: 1}
-    assert factorize(999983).factors == {999983: 1}
-    assert factorize(61 * 67).factors == {61: 1, 67: 1}
+    assert factorize(1) == {}
+    assert factorize(2) == {2: 1}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(999983) == {999983: 1}
+    assert factorize(61 * 67) == {61: 1, 67: 1}
     with pytest.raises(ValueError):
         factorize(0)
-
-
-def test_factorization_validates():
-    Factorization(12, {2: 2, 3: 1})
-    with pytest.raises(ValueError):
-        Factorization(12, {2: 1, 3: 1})
-    with pytest.raises(ValueError):
-        Factorization(12, {4: 1, 3: 1})
 
 
 @settings(max_examples=200)
 @given(st.integers(1, 10**9))
 def test_factorize_roundtrip(n):
-    fact = factorize(n)
-    assert fact.n == n
     prod = 1
-    for p, e in fact.factors.items():
+    for p, e in factorize(n).items():
         assert is_prime(p)
         assert e >= 1
         prod *= p**e

@@ -553,9 +553,20 @@ def test_fields_only_int_reads_are_refused(tmp_path, field):
     # every other rule holds, but k is even exactly when 10 is a square mod p
     ("601,9,600,1,60,60,60,60,60,60,60,60,60,60", "cofactor 1 is odd, but 10 is a square"),
     ("17,7,8,2,1,1,2,0,0,0,0,2,1,1", "cofactor 2 is even, but 10 is not a square"),
+    # lines that break two adjacent rules report the earlier one: the rules' order
+    # above 2147483659, the least prime above PRIME_CAP (with l = 3, not 1)
+    ("2147483659,3,2147483658,1,1,1,1,1,1,1,1,1,1,1", "exceeds the supported cap"),
+    # 601 with l = 3, not 9, and 3 * 300 != 600
+    ("601,3,300,3,35,28,28,31,28,28,31,28,28,35", "l=3 does not invert"),
+    # 91 = 7 * 13 with 14 * 6 != 90, and with 2 * 45 = 90 but k even (91 = 11 mod 40)
+    ("91,9,6,14,1,1,1,1,1,1,0,0,0,0", r"cofactor 14 \* period 6 != p - 1"),
+    ("91,9,45,2,5,5,5,5,5,5,5,5,5,0", "not prime"),
+    # 17 as half length, with counts that sum to 10, not to the period 8
+    ("17,7,8,2,1,1,1,1,1,1,1,1,1,1", "cofactor 2 is even, but 10 is not a square"),
 ], ids=["mirror", "full_length", "complement", "times_two_square", "times_two_non_square",
         "shape_7_mod_8", "shape_3_mod_8", "h_below_1", "g_below_4", "full_for_half",
-        "half_for_full"])
+        "half_for_full", "cap_before_l", "l_before_cofactor", "cofactor_before_prime",
+        "prime_before_parity", "parity_before_sum"])
 def test_record_contradicting_a_lemma_is_refused_at_load(tmp_path, line, lemma):
     p = int(line.split(",")[0])
     with pytest.raises(ValueError, match=f"record for {p}: .*{lemma}"):
