@@ -50,24 +50,35 @@ def _decimal(text: str) -> str:
     return text
 
 
-def _limit(text: str, name: str = "limit") -> int:
-    """The limit (or the p) these decimal digits spell, positional or via --limit."""
+_ABOVE_CAP = f"exceeds PRIME_CAP = {PRIME_CAP}"
+
+
+def _limit(text: str, name: str = "limit", bound: str = _ABOVE_CAP) -> int:
+    """The limit (or the p or n) these decimal digits spell; an OverflowError that
+    names their count and the bound they break, for more than int() converts."""
     digits = text.lstrip("0") or "0"  # int() refuses as many leading zeros as digits
     try:
         return int(digits)
-    except ValueError:  # more digits than Python converts: far above the cap
-        raise OverflowError(
-            f"{name} of {len(digits)} digits exceeds PRIME_CAP = {PRIME_CAP}") from None
+    except ValueError:  # more digits than Python converts: far above any bound
+        raise OverflowError(f"{name} of {len(digits)} digits {bound}") from None
 
 
-def _p(text: str) -> int:
-    """p as int() reads it; argparse passes on _limit's OverflowError: one error line."""
+def _int(text: str, name: str, bound: str) -> int:
+    """text as int() reads it; argparse passes on _limit's OverflowError: one error line."""
     if text.isdecimal():
-        return _limit(text, "p")
+        return _limit(text, name, bound)
     try:
         return int(text)
     except ValueError:  # argparse's own words for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _p(text: str) -> int:
+    return _int(text, "p", _ABOVE_CAP)
+
+
+def _n(text: str) -> int:
+    return _int(text, "n", "is more than any run can print")
 
 
 def _positive(text: str) -> int:
@@ -106,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digits", help="print the first n digits of 1/p")
     p.add_argument("p", type=_p)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_n)
     p.set_defaults(handler=_cmd_digits)
 
     p = sub.add_parser("tables", help="recompute one of the eight class tables")

@@ -42,6 +42,26 @@ parsed, so a record near PRIME_CAP does not grow it.  The full range's
 runs while blocks become records (tuples of ints form no cycle), and the
 file's bytes are dropped once they are decoded.
 
+Snapshot: a load that checks every line spends most of its time parsing
+and checking, so ``close`` seals what this cache checked (or appended)
+beyond the snapshot it read into ``<path>.seal``.  That file holds the
+index's rows as 13 native uint32 columns (p, l, T and the ten counts, 52
+bytes a row) after one header line naming: the format; a digest of the
+source of the modules that hold the rules (``numtheory``, ``sequence`` and
+this one); the byte length, line count and digest of the csv prefix the
+rows stand for; the number of rows; the largest count; and a digest of the
+header before it and the columns.  The digests are blake2b, which the
+interpreter has built in; hashlib's sha256 would map OpenSSL into every
+command.  A load whose snapshot matches all of these, the prefix hashed in
+chunks, builds the records from the columns (the counts through
+``_shared``, unless one is ``_SHARED_BELOW`` or more), and checks only the
+lines after the prefix, numbered from where it ends.  A missing, stale,
+truncated, damaged or unreadable snapshot is ignored and every line is
+checked, as without one.  The csv is the only source of truth: the snapshot
+is written only from checked rows, under the csv's lock, through a
+temporary file and ``os.replace``; a write that fails is skipped, and
+deleting the snapshot is always safe.
+
 Concurrency contract: any number of processes may read and append.  Each
 ``append_many`` is one write under an exclusive ``fcntl.flock``.  Under the
 lock, a tail with no line break can only be torn, and is clipped first; then
@@ -55,14 +75,23 @@ already indexed takes no lock.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import json
 import os
+import sys
+from array import array
 from collections import namedtuple
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
+try:  # hashlib's very function, without hashlib's import of OpenSSL (3.7 MB resident)
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
+from . import numtheory, sequence
 from .numtheory import prime_flags
 from .sequence import PRIME_CAP, ReciprocalSpec, _broken_record
 
@@ -81,6 +110,14 @@ _SKELETON_ROW = b"," * 13 + b"\n"
 # 10 MB, is above every count of a prime below 2.6e6.
 _SHARED_BELOW = 1 << 18
 _shared: list[int] = []
+
+# The snapshot (see the module docstring): its path is the cache's plus this
+# suffix.  Its first line names the format; the columns are native uint32.
+_SEAL_SUFFIX = ".seal"
+_SEAL_FORMAT = f"dseq-seal,v1,{sys.byteorder},{array('I').itemsize}"
+_SEAL_ROW_BYTES = 13 * array("I").itemsize  # p, l, T and the ten counts
+_HASH_CHUNK = 1 << 20  # csv bytes hashed at once while a snapshot is checked
+_DIGEST_HEX = 128  # characters of a blake2b digest in hex
 
 
 class CacheCorruptionError(Exception):
@@ -213,6 +250,16 @@ def _blocks(text: str, start: int) -> Iterator[tuple[list[CacheRecord], tuple[in
         start = stop + 1
 
 
+@functools.cache
+def _rules_digest() -> str:
+    """A digest of the source of the modules that hold the record rules and this loader."""
+    digest = blake2b()
+    for path in (numtheory.__file__, sequence.__file__, __file__):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def _conflict(p: int) -> str:
     return (f"new record for prime {p} disagrees with cached one "
             f"(cached values are pure functions of p; this is a bug)")
@@ -238,25 +285,101 @@ class ResultCache:
         self._read: dict[int, str] = {}  # lines that _append_lines has checked, by p
         self._end = 0  # bytes of the file read so far, all whole lines
         self._lines = 0  # and their number
+        self._hash = blake2b()  # of those bytes
+        self._sealed: int | None = 0  # bytes the snapshot read stands for; None: never seal
         self._load()
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
         with open(self.path, "rb") as fh:
-            data = fh.read()
+            try:
+                self._unseal(fh)
+            except (OSError, ValueError, EOFError):  # no snapshot of this file: check it all
+                fh.seek(0)
+            data = fh.read()  # what follows the snapshot's prefix, if one was read
         end = _clean_end(data)
         text = self._decoded(data[:end])
+        self._hash.update(memoryview(data)[:end])
         if end < len(data):
             # no trailing newline: an interrupted writer left a partial line
             import logging
 
             logging.getLogger(__name__).warning(
                 "%s:%d: skipping truncated final line %r",
-                self.path, text.count("\n") + 1, data[end:].decode("utf-8", "replace"),
+                self.path, self._lines + text.count("\n") + 1,
+                data[end:].decode("utf-8", "replace"),
             )
         del data  # indexing needs only the text
         self._index(text, end)
+
+    def _unseal(self, fh) -> None:
+        """Index the rows of the snapshot, and read fh up to the end of the csv
+        prefix it stands for; ValueError, EOFError or OSError, with nothing
+        indexed, unless the snapshot is whole and stands for that prefix under
+        these rules."""
+        with open(self.path + _SEAL_SUFFIX, "rb") as seal:
+            header = seal.readline(1024)
+            head, digest = header[:-_DIGEST_HEX - 1], header[-_DIGEST_HEX - 1:-1].decode("ascii")
+            form, rules, *numbers, prefix = head.decode("ascii").split()
+            size, lines, rows, top = map(int, numbers)  # and ValueError for a bad header
+            if (form, rules) != (_SEAL_FORMAT, _rules_digest()) or min(size, lines) < 1 or \
+                    os.fstat(seal.fileno()).st_size != len(header) + rows * _SEAL_ROW_BYTES:
+                raise ValueError("not a snapshot of this file")
+            prefix_hash, left = blake2b(), size
+            while left:
+                chunk = fh.read(min(left, _HASH_CHUNK))
+                if not chunk:
+                    raise EOFError("the file is shorter than the snapshot's prefix")
+                prefix_hash.update(chunk)
+                left -= len(chunk)
+            if prefix_hash.hexdigest() != prefix or chunk[-1:] + fh.peek(1)[:1] == b"\r\n":
+                raise ValueError("the prefix differs, or ends inside a line break")
+            payload, columns = blake2b(head), []
+            for _ in range(13):
+                columns.append(array("I"))
+                columns[-1].fromfile(seal, rows)
+                payload.update(columns[-1])
+            if payload.hexdigest() != digest:
+                raise ValueError("the snapshot is damaged")
+        p, l, period, *counts = columns
+        if top < _SHARED_BELOW:
+            _shared.extend(range(len(_shared), top + 1))
+            counts = [map(_shared.__getitem__, column) for column in counts]
+        with _collector_paused():
+            records = map(tuple.__new__, repeat(CacheRecord), zip(p, l, period, zip(*counts)))
+            self._records = {rec[0]: rec for rec in records}
+        self._end = self._sealed = size
+        self._lines = lines
+        self._hash = prefix_hash
+
+    def _seal(self) -> None:
+        """Write the snapshot of the rows indexed so far, under the file's lock, through
+        a temporary file; skipped if any of it fails: the snapshot only saves time."""
+        import fcntl
+
+        path = self.path + _SEAL_SUFFIX
+        records = self._records.values()
+        counts = list(map(itemgetter(3), records))
+        columns = [*(map(itemgetter(j), records) for j in range(3)),  # p, l, T
+                   *(map(itemgetter(d), counts) for d in range(10))]  # f(0)..f(9)
+        with contextlib.suppress(OSError), open(self.path, "rb") as lock:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)  # released when lock is closed
+            try:
+                with open(path + ".tmp", "wb") as out:
+                    top = max(map(max, counts), default=0)
+                    head = (f"{_SEAL_FORMAT} {_rules_digest()} {self._end} {self._lines} "
+                            f"{len(records)} {top} {self._hash.hexdigest()} ").encode()
+                    out.write(head + b"0" * _DIGEST_HEX + b"\n")  # the digest, written last
+                    payload = blake2b(head)
+                    for column in map(array, repeat("I"), columns):  # one at a time
+                        payload.update(column)
+                        column.tofile(out)
+                    out.seek(len(head))
+                    out.write(payload.hexdigest().encode())
+                os.replace(path + ".tmp", path)
+            except (OSError, OverflowError):
+                os.unlink(path + ".tmp")
 
     def _decoded(self, data: bytes) -> str:
         """data as text with universal newlines, as text mode would read it."""
@@ -272,6 +395,7 @@ class ResultCache:
         self._end += size
         if not text:
             return
+        sealed, self._sealed = self._sealed, None  # no snapshot of a file that fails its check
         start = 0
         if self._lines == 0:
             start = text.index("\n") + 1
@@ -287,6 +411,7 @@ class ResultCache:
                     raise CacheCorruptionError(f"{self.path}:{lineno + failure[0]}: {failure[1]}")
                 lineno += len(records)
         self._lines = lineno - 1
+        self._sealed = sealed
 
     def _add_loaded(self, records: list[CacheRecord], lineno: int) -> None:
         """Index the records of the lines from lineno on; a conflicting one is corruption."""
@@ -325,6 +450,7 @@ class ResultCache:
                     f"{self.path}: shrank to {size} bytes from the {self._end} read")
             theirs = os.pread(fd, size - self._end, self._end)
             self._index(self._decoded(theirs), len(theirs))
+            self._hash.update(theirs)
             index = self._records
             for p, rec in records.items():
                 if index.get(p, rec) != rec:
@@ -336,6 +462,7 @@ class ResultCache:
             data = text.encode("utf-8")
             self._fh.write(data)
             self._fh.flush()
+            self._hash.update(data)
             self._end += len(data)
             self._lines += text.count("\n")
             index.update((rec.p, rec) for rec in new)
@@ -377,9 +504,13 @@ class ResultCache:
         return len(self._records)
 
     def close(self) -> None:
+        """Close the file, and seal what this cache has checked beyond the snapshot it read."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+        if self._sealed is not None and self._end > self._sealed:
+            self._sealed = self._end
+            self._seal()
 
     def __enter__(self) -> "ResultCache":
         return self

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -435,8 +436,15 @@ def full_length_lines():
     return [rec.to_line() for rec in batch_records(census_primes(50_000), keys=keys)]
 
 
-@pytest.mark.parametrize("name", list(CORRUPT) + ["lemma_in_second_block"])
-def test_corrupt_cache_matrix_exit_three(capsys, tmp_path, full_length_lines, name):
+_MATRIX = [*CORRUPT, "lemma_in_second_block"]
+
+
+@pytest.mark.parametrize("name, sealed", [
+    *(pytest.param(name, False, id=name) for name in _MATRIX),
+    *(pytest.param(name, True, id=f"{name}-sealed") for name in _MATRIX),
+])
+def test_corrupt_cache_matrix_exit_three(capsys, tmp_path, monkeypatch, full_length_lines, name,
+                                         sealed):
     if name == "lemma_in_second_block":
         content = _cache_bytes([*full_length_lines, L601.replace(",35,28,", ",28,35,", 1)])
         line = len(full_length_lines) + 2
@@ -444,10 +452,22 @@ def test_corrupt_cache_matrix_exit_three(capsys, tmp_path, full_length_lines, na
     else:
         content, line = CORRUPT[name]
     path = tmp_path / "bad.csv"
+    if sealed:
+        # a snapshot of the lines above the bad one, which the file then goes on
+        # from; a file bad as a whole gets a stale snapshot of another file
+        path.write_bytes(b"".join(content.splitlines(keepends=True)[:line - 1]) if line
+                         else _cache_bytes([L7]))
+        ResultCache(path).close()
+        unsealed = []
+        unseal = ResultCache._unseal
+        monkeypatch.setattr(ResultCache, "_unseal",
+                            lambda self, fh: unsealed.append(unseal(self, fh)))
     path.write_bytes(content)
     code, out, err = run_cli(capsys, "tables", "1", "--cache", str(path))
     assert (code, out) == (3, "")
     assert f"bad.csv:{line}: " in err if line else "bad.csv: " in err
+    if sealed:  # the snapshot was read whenever it stands for a prefix of the file
+        assert unsealed == ([None] if line else [])
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -522,6 +542,9 @@ def test_every_command_and_format_prints_its_golden_bytes(capsys, golden):
     pytest.param(["digits", "9" * 5000, "5"],
                  f"error: p of 5000 digits exceeds PRIME_CAP = {PRIME_CAP}",
                  id="digits 5000 nines"),
+    pytest.param(["digits", "7", "9" * 5000],
+                 "error: n of 5000 digits is more than any run can print",
+                 id="digits n of 5000 nines"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
 def test_usage_errors_print_one_exact_line(capsys, argv, message):
     assert run_cli(capsys, *argv, "--no-cache") == (1, "", message + "\n")
@@ -560,7 +583,11 @@ print(json.dumps({"imported": [m for m in json.loads(sys.argv[2]) if m in sys.mo
 
 # Modules that no warm command needs, except verify's own rule checks.
 _HEAVY = ["dataclasses", "inspect", "numpy", "multiprocessing", "dseq.invariants",
-          "dseq.counting", "dseq.classnumber"]
+          "dseq.counting", "dseq.classnumber", "fcntl"]
+
+
+def _stat(path):
+    return path.read_bytes(), path.stat().st_mtime_ns
 
 
 def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
@@ -568,6 +595,9 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-m", "dseq.cli", "figure", "2000", "--cache", cache],
                    check=True, env=env, stdout=subprocess.DEVNULL)
+    # served by the snapshot that figure wrote: neither file is touched
+    files = [tmp_path / "c.csv", tmp_path / "c.csv.seal"]
+    built = list(map(_stat, files))
     commands = [(["verify", "2000", "json", "--cache", cache], ["dseq.invariants"]),
                 (["figure", "2000", "svg", "--cache", cache], []),
                 (["scan-parity", "2000", "--cache", cache], []),
@@ -579,6 +609,7 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
         result = json.loads(child.stdout)
         assert result["imported"] == allowed, argv
         assert result["out"] == list(run_cli(capsys, *argv)[:2])
+    assert list(map(_stat, files)) == built
 
 
 def test_census_that_counts_nothing_imports_no_counting_code(capsys, tmp_path):
@@ -668,6 +699,12 @@ def test_two_writers_share_one_cache(tmp_path):
     assert outs[0] == outs[1]
     with ResultCache(path) as cache:  # loads, duplicates and all
         assert len(cache) == len(census_primes(20000))
+    # the snapshot either writer left stands for a prefix and loads as the whole file does
+    shutil.copyfile(path, tmp_path / "copy.csv")
+    sealed, full = ResultCache(path), ResultCache(tmp_path / "copy.csv")
+    assert sealed._sealed > 0 and full._sealed == 0
+    assert list(sealed._records.items()) == list(full._records.items())
+    assert (sealed._end, sealed._lines) == (full._end, full._lines)
     verify = ["verify", "20000", "json"]
     shared = _dseq(*verify, "--cache", path, stderr=subprocess.PIPE).communicate()
     fresh = _dseq(*verify, "--cache", str(tmp_path / "fresh.csv"),

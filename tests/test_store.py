@@ -1,5 +1,7 @@
 import functools
 import logging
+import os
+import shutil
 from collections import Counter
 from fractions import Fraction
 
@@ -506,6 +508,134 @@ def test_prime_near_cap_does_not_grow_the_sharing_table(tmp_path, monkeypatch):
         assert cache.lookup(p) == rec and cache.lookup(7) == REC_7
     # 7's counts are 0 and 1; p's, 214748362 and 214748363, are left as parsed
     assert store._shared == [0, 1]
+
+
+# ------------------------------------------------------------- snapshot
+
+def _state(cache):
+    """What a load leaves: the index in its order, and the bytes and lines read."""
+    return list(cache._records.items()), cache._end, cache._lines
+
+
+def _checked_in_full(path):
+    """The state of a load of a copy of the file that has no snapshot."""
+    copy = path.with_name("copy.csv")
+    shutil.copyfile(path, copy)
+    cache = ResultCache(copy)
+    assert cache._sealed == 0
+    return _state(cache)
+
+
+@pytest.fixture
+def sealed_1500(tmp_path, lines_to_2e4):
+    """A cache file of the first 1500 records to 2e4, sealed."""
+    path = tmp_path / "c.csv"
+    _write_cache(path, lines_to_2e4[:1500])
+    ResultCache(path).close()
+    assert (tmp_path / "c.csv.seal").exists()
+    return path
+
+
+def _grow(path, lines, monkeypatch):
+    with path.open("a") as fh:
+        fh.write("".join(line + "\n" for line in lines[1500:]))
+
+
+def _edit_inside_prefix(path, lines, monkeypatch):
+    # 601's line as other counts that obey every rule, in the same bytes
+    path.write_text(path.read_text().replace(REC_601.to_line(), _WRONG_601))
+
+
+def _truncate_snapshot(path, lines, monkeypatch):
+    seal = path.with_name("c.csv.seal")
+    os.truncate(seal, seal.stat().st_size // 2)
+
+
+def _flip_a_payload_byte(path, lines, monkeypatch):
+    seal = path.with_name("c.csv.seal")
+    data = bytearray(seal.read_bytes())
+    data[-1] ^= 1
+    seal.write_bytes(data)
+
+
+def _change_rules(path, lines, monkeypatch):
+    from dseq import store
+
+    monkeypatch.setattr(store, "_rules_digest", lambda: "0" * 64)
+
+
+# How each case changes a sealed cache, and whether the snapshot still serves it.
+_SNAPSHOT_CASES = {"csv_grew": (_grow, True), "csv_edited_in_prefix": (_edit_inside_prefix, False),
+                   "snapshot_truncated": (_truncate_snapshot, False),
+                   "payload_byte_flipped": (_flip_a_payload_byte, False),
+                   "rules_changed": (_change_rules, False)}
+
+
+@pytest.mark.parametrize("case", _SNAPSHOT_CASES)
+def test_snapshot_loads_what_a_full_check_loads(sealed_1500, lines_to_2e4, monkeypatch, case):
+    change, served = _SNAPSHOT_CASES[case]
+    change(sealed_1500, lines_to_2e4, monkeypatch)
+    cache = ResultCache(sealed_1500)
+    assert (cache._sealed > 0) is served
+    assert _state(cache) == _checked_in_full(sealed_1500)
+    if case == "csv_edited_in_prefix":
+        assert cache.lookup(601).to_line() == _WRONG_601
+    cache.close()  # seals what it checked
+    resealed = ResultCache(sealed_1500)
+    assert resealed._sealed == resealed._end == os.path.getsize(sealed_1500)
+    assert _state(resealed) == _state(cache)
+
+
+def test_unchanged_cache_is_not_sealed_again(sealed_1500):
+    seal = sealed_1500.with_name("c.csv.seal")
+    before = seal.read_bytes(), seal.stat().st_mtime_ns
+    with ResultCache(sealed_1500) as cache:
+        cache.append(cache.lookup(601))  # an identical re-append writes nothing
+    assert (seal.read_bytes(), seal.stat().st_mtime_ns) == before
+    with ResultCache(sealed_1500) as cache:
+        cache.append(_record(20011))
+    assert seal.read_bytes() != before[0]
+
+
+def test_torn_tail_after_a_snapshot_warns_at_its_line(sealed_1500, lines_to_2e4, caplog):
+    with sealed_1500.open("a") as fh:
+        fh.write("".join(line + "\n" for line in lines_to_2e4[1500:1600]) + "7,7,6")
+    messages = []
+    for served in (True, False):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            cache = ResultCache(sealed_1500)
+        messages.append([r.getMessage() for r in caplog.records])
+        assert (cache._sealed > 0) is served and len(cache) == 1600
+        sealed_1500.with_name("c.csv.seal").unlink(missing_ok=True)  # the second checks it all
+    assert messages[0] == messages[1] == [
+        f"{sealed_1500}:1602: skipping truncated final line '7,7,6'"]
+
+
+def test_two_writers_leave_a_snapshot_that_loads_as_a_full_check(tmp_path):
+    path = tmp_path / "c.csv"
+    first, second = ResultCache(path), ResultCache(path)
+    first.append_many([_record(p) for p in (3, 7, 11)])
+    second.append_many([_record(p) for p in (7, 11, 13)])
+    first.append_many([_record(p) for p in (13, 17)])
+    second.close()  # sealed before the first's last lines, which follow as the tail
+    first.close()
+    cache = ResultCache(path)
+    assert cache._sealed > 0 and len(cache) == 5
+    assert _state(cache) == _checked_in_full(path)
+
+
+def test_unwritable_snapshot_changes_no_output(tmp_path, capsys):
+    from dseq.cli import main
+
+    path = tmp_path / "c.csv"
+    (tmp_path / "c.csv.seal").mkdir()  # a directory: it can be neither read nor replaced
+    runs = []
+    for argv in (["figure", "2000", "--no-cache"], ["figure", "2000", "--cache", str(path)],
+                 ["figure", "2000", "--cache", str(path)]):
+        runs.append((main(argv), *capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2] and runs[0][0] == 0
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "c.csv.seal"]
 
 
 @pytest.mark.parametrize("count", ["1" * 20, "1" * 4301], ids=["20_digits", "4301_digits"])
