@@ -9,8 +9,8 @@ rows csv): every csv through `_csv`, every json through `_json`.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
-import json
 import os
 import sys
 from itertools import islice
@@ -209,6 +209,8 @@ def _csv(header: str, rows) -> None:
 
 
 def _json(obj) -> None:
+    import json  # here: a command that prints csv or svg imports no json
+
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
@@ -380,7 +382,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The `dseq` console script and `python -m dseq.cli`: main(), then the exit.
+
+    The atexit handlers run and stdout and stderr are flushed, as the
+    interpreter's own shutdown does first; then os._exit skips the rest of it,
+    collecting and freeing every object and module.  Every file main() opened is
+    closed by then, and a worker pool joined.  A flush that raises (a closed
+    pipe), a tracer or a profiler (coverage, cProfile: they write what they
+    recorded after the program returns) keep the interpreter's shutdown.
+    """
+    code = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        atexit._run_exitfuncs()  # logging, multiprocessing; cleared once they have run
+        # a closed pipe or stream: the interpreter's shutdown reports it as it always has
+        with contextlib.suppress(OSError, ValueError):
+            for stream in filter(None, (sys.stdout, sys.stderr)):  # None: fd closed at start
+                stream.flush()
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -77,7 +77,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
-import json
 import os
 import sys
 from array import array
@@ -209,6 +208,8 @@ def _share(column: list[int]) -> Sequence[int]:
 def _fields(lines: str) -> list[int] | None:
     """The fields of these lines in one list, or None unless every line is 14
     plain decimal integers."""
+    import json  # here: a load that the snapshot serves whole parses no json
+
     # Only digits, and 13 commas a line: every field json reads is then a
     # nonnegative int, and every line has 14 of them.
     skeleton = lines.encode().translate(None, b"0123456789") + b"\n"

@@ -612,6 +612,30 @@ def test_cache_served_commands_do_not_import_numpy(capsys, tmp_path):
     assert list(map(_stat, files)) == built
 
 
+# Runs one command in a fresh interpreter that imports no json of its own;
+# prints its stdout, then its exit code and whether json got imported.
+_JSON_BUDGET = """
+import sys
+from dseq.cli import main
+code = main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+def test_commands_served_by_the_snapshot_that_print_no_json_import_none(capsys, tmp_path):
+    cache = str(tmp_path / "c.csv")
+    assert run_cli(capsys, "figure", "2000", "--cache", cache)[0] == 0
+    assert (tmp_path / "c.csv.seal").exists()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv in (["figure", "2000", "csv"], ["figure", "2000", "svg"],
+                 ["scan-parity", "2000", "csv"], ["verify", "2000", "csv"], ["profile", "601"]):
+        child = subprocess.run([sys.executable, "-c", _JSON_BUDGET, *argv, "--cache", cache],
+                               check=True, env=env, capture_output=True, text=True)
+        out, _, last = child.stdout.rstrip("\n").rpartition("\n")
+        assert last == "0 False", argv
+        assert out + "\n" == run_cli(capsys, *argv, "--cache", cache)[1], argv
+
+
 def test_census_that_counts_nothing_imports_no_counting_code(capsys, tmp_path):
     # verify caches the full- and half-length primes, so every miss of a census
     # of half-length primes is an "other" prime, dropped before any is counted
@@ -721,3 +745,103 @@ def test_cache_path_io_error_is_one_error_line(tmp_path, argv):
     assert (child.returncode, out) == (1, b"")
     assert err.startswith(b"error: [Errno ") and err.count(b"\n") == 1
     assert b"Traceback" not in err
+
+
+# The console script ends with os._exit once its output is flushed; `python -c`
+# that calls main() keeps the interpreter's own shutdown.  Both must give the
+# same exit code, stdout and stderr, and leave the same cache files.
+_MAIN = "import sys; from dseq.cli import main; sys.exit(main(sys.argv[1:]))"
+_WAYS = {"console": ["-m", "dseq.cli"], "interpreter": ["-c", _MAIN]}
+
+# Each case: its arguments; the cache file it starts from (None: none; "warm": a
+# sealed cache of the primes to 2000); how stdout is given; the exit code; a
+# part of stderr.
+_EXIT_PATHS = {
+    "warm_figure": (["figure", "2000", "csv"], "warm", "pipe", 0, b""),
+    "cold_verify_pool": (["verify", "2000", "json", "--jobs", "2"], None, "pipe", 0, b""),
+    "usage_error": (["figure", "10", "--bogus"], None, "pipe", 1,
+                    b"dseq: unrecognized arguments: --bogus\n"),
+    "not_prime": (["profile", "4"], None, "pipe", 1, b"error: 4 is not prime\n"),
+    "corrupt_line": (["profile", "7"], _cache_bytes(["garbage", L7]), "pipe", 3,
+                     b"cache corruption: c.csv:2: "),
+    "torn_final_line": (["profile", "7"], _cache_bytes([L7], tail="13,3,6"), "pipe", 0,
+                        b"c.csv:3: skipping truncated final line '13,3,6'\n"),
+    # a reader that went away before the output is written: the write fails at
+    # once unbuffered, and buffered when stdout is flushed at the exit
+    "stdout_closed": (["figure", "2000", "csv"], "warm", "closed", 120,
+                      b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'"),
+    "stdout_closed_unbuffered": (["figure", "2000", "csv"], "warm", "closed unbuffered", 1,
+                                 b"error: [Errno 32] Broken pipe\n"),
+    # no fd 1 at start, so sys.stdout is None: a command that writes only to stderr
+    "stdout_fd_closed": (["profile", "4"], None, "no fd", 1, b"error: 4 is not prime\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def warm_2000(tmp_path_factory):
+    """The cache files a cold `figure 2000` leaves: the csv and its snapshot."""
+    directory = tmp_path_factory.mktemp("warm")
+    assert main(["figure", "2000", "--cache", str(directory / "c.csv")]) == 0
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def _exit_path(directory, way, argv, files, stdout):
+    directory.mkdir()
+    for name, content in files.items():
+        (directory / name).write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if stdout.endswith("unbuffered"):
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, *_WAYS[way], *argv, "--cache", "c.csv"]
+    if stdout == "pipe":
+        child = subprocess.run(command, cwd=directory, env=env, capture_output=True)
+    elif stdout == "no fd":
+        child = subprocess.run(command, cwd=directory, env=env, stderr=subprocess.PIPE,
+                               preexec_fn=lambda: os.close(1))
+    else:
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout fails with EPIPE
+        try:
+            child = subprocess.run(command, cwd=directory, env=env, stdout=write,
+                                   stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+    left = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    return child.returncode, child.stdout, child.stderr, left
+
+
+@pytest.mark.parametrize("name", _EXIT_PATHS)
+def test_console_exit_matches_the_interpreters_shutdown(tmp_path, warm_2000, name):
+    argv, files, stdout, code, err = _EXIT_PATHS[name]
+    files = warm_2000 if files == "warm" else {} if files is None else {"c.csv": files}
+    console, interpreter = (_exit_path(tmp_path / way, way, argv, files, stdout)
+                            for way in _WAYS)
+    assert console == interpreter
+    assert console[0] == code and err in console[2]
+    if files == warm_2000:  # served by the snapshot: neither file is written
+        assert console[3] == warm_2000
+
+
+def test_profiler_keeps_the_interpreters_shutdown(tmp_path):
+    # cProfile writes its file after the program returns; os._exit would skip that
+    stats = tmp_path / "prof.out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(stats), "-m",
+                            "dseq.cli", "figure", "2000", "--cache", "c.csv"],
+                           cwd=tmp_path, env=env, capture_output=True)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout.startswith(b"digit,count\n")
+    import pstats
+
+    assert any(func[2] == "run" and func[0].endswith("cli.py")
+               for func in pstats.Stats(str(stats)).stats)
+
+
+def test_pool_command_leaves_no_process_of_its_session(tmp_path):
+    child = _dseq("figure", "20000", "csv", "--jobs", "2", "--cache", str(tmp_path / "c.csv"),
+                  start_new_session=True)
+    out = child.communicate()[0]
+    assert (child.returncode, out.count(b"\n")) == (0, 11)
+    with pytest.raises(ProcessLookupError):  # the workers were joined before the exit
+        os.killpg(child.pid, 0)
