@@ -32,6 +32,7 @@ from .sequence import (
     ODD,
     OTHER,
     PRIME_CAP,
+    _K_PARITY,
     ClassKey,
     DigitHistogram,
     ReciprocalSpec,
@@ -112,7 +113,7 @@ def batch_records(
                 # wall and CPU time.
                 import multiprocessing
 
-                from . import classnumber, counting  # noqa: F401
+                from . import counting  # noqa: F401
 
                 pool = stack.enter_context(multiprocessing.Pool(workers))
                 results = pool.imap(task, chunks)
@@ -174,13 +175,13 @@ def global_digit_census(
 
 
 class ParityCell(namedtuple("ParityCell", "parities count")):
-    """Observed hundreds-digit parities (a tuple of str) for one (lsd, tens digit) cell."""
+    """The hundreds-digit parity (a one-tuple of str) of one (lsd, tens digit) cell."""
 
     __slots__ = ()
 
 
 class ParityScanReport(namedtuple("ParityScanReport", "limit entries")):
-    """Hundreds-digit parity sets of half-length primes, per (lsd, tens digit).
+    """Hundreds-digit parities and counts of half-length primes, per (lsd, tens digit).
 
     ``entries`` maps each (lsd, tens digit) cell to its ParityCell.
     """
@@ -201,11 +202,11 @@ def third_digit_parity_scan(
     40 by 20: p mod 8 by 4, which flips (2/p), and p mod 5 not at all, so it
     flips (10/p) = (2/p)(p/5).  So only one of p = r and p = r + 100 (mod 200)
     admits an even k: the hundreds digit is even exactly when 10 * tens + last
-    digit is 1, 3, 9, 13, 27, 31, 37 or 39 mod 40.
+    digit is 1, 3, 9, 13, 27, 31, 37 or 39 mod 40, and each cell's parity is
+    read from that table (``sequence._K_PARITY``).
     """
     if limit < 100:
         raise ValueError(f"scan limit must be >= 100, got {limit}")
-    seen: dict[tuple[int, int], set[str]] = {}
     counts: dict[tuple[int, int], int] = {}
     primes = [p for p in census_primes(limit) if p >= 100]
     # a hit is read as it is, as batch_records reads it: classify would build a spec for each
@@ -214,11 +215,9 @@ def third_digit_parity_scan(
         if (rec if rec is not None else ReciprocalSpec.for_prime(p)).cofactor != 2:
             continue
         cell = (p % 10, (p // 10) % 10)
-        parity = EVEN if (p // 100) % 2 == 0 else ODD
-        seen.setdefault(cell, set()).add(parity)
         counts[cell] = counts.get(cell, 0) + 1
     entries = {
-        cell: ParityCell(tuple(sorted(seen[cell])), counts[cell])
-        for cell in sorted(seen)
+        (lsd, tens): ParityCell(((EVEN, ODD)[_K_PARITY[(10 * tens + lsd) % 40]],), n)
+        for (lsd, tens), n in sorted(counts.items())
     }
     return ParityScanReport(limit, entries)

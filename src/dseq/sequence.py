@@ -19,7 +19,7 @@ count it:
   (0, 6h-g, -6h+g, 6h+g, 6h-g) for p = 3 (mod 8) (B. C. Berndt, *Classical
   theorems on quadratic residues*, 1976; K. Girstmair, *The digits of 1/p
   in connection with class number factors*, Acta Arith. 67, 1994).  The
-  census counts these primes, up to a bound, in ``classnumber``;
+  census counts these primes, up to a bound, in ``counting``;
 - any other period is counted whole.
 
 ``counting`` picks one of these for each prime, and only it imports numpy:

@@ -321,6 +321,10 @@ def test_parity_scan_cells_follow_p_mod_40(session_cache, limit, cells):
     assert len(report.entries) == cells
     for (lsd, tens), cell in report.entries.items():
         assert cell.parities == ((EVEN,) if (10 * tens + lsd) % 40 in squares else (ODD,))
+    # the scan reads each cell's parity from the table: every half-length prime bears it out
+    for p in census_primes(limit):
+        if p >= 100 and classify(p, cache=session_cache).cofactor == 2:
+            assert report.entries[(p % 10, p // 10 % 10)].parities == ((EVEN, ODD)[p // 100 % 2],)
 
 
 def test_parity_scan_counts_only_half_length(session_cache):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseq import classnumber
+from dseq import counting
 from dseq.census import _count_chunk
 from dseq.cli import main
 from dseq.counting import _CLASS_NUMBER_BOUND, _count_batch
@@ -40,22 +40,22 @@ def _reduced_forms(m: int) -> int:
 def test_class_numbers_equal_reduced_form_count():
     primes = [p for p in sieve_primes(3000) if p % 4 == 3]
     ms = [p for p in primes if p > 3] + [5 * p for p in primes]
-    tables = classnumber.RootTables()
+    tables = counting.RootTables()
     tables.grow(math.isqrt(max(ms) // 3))
-    assert classnumber.class_numbers(ms, tables) == [_reduced_forms(m) for m in ms]
+    assert counting.class_numbers(ms, tables) == [_reduced_forms(m) for m in ms]
     # in any order, and one discriminant at a time
-    assert classnumber.class_numbers(ms[::-1], tables) == [_reduced_forms(m) for m in ms[::-1]]
-    assert classnumber.class_numbers([7], tables) == [1]
+    assert counting.class_numbers(ms[::-1], tables) == [_reduced_forms(m) for m in ms[::-1]]
+    assert counting.class_numbers([7], tables) == [1]
 
 
 def test_tables_grow_by_appending():
-    grown, once = classnumber.RootTables(), classnumber.RootTables()
+    grown, once = counting.RootTables(), counting.RootTables()
     for top in (1, 2, 40, 41, 300, 600):
         grown.grow(top)
     once.grow(600)
     for name in ("count", "before", "roots"):
         assert getattr(grown, name).tolist() == getattr(once, name).tolist()
-    assert len(once.count) == classnumber.RootTables.entries(600)
+    assert len(once.count) == counting.RootTables.entries(600)
     assert {once.count.dtype.itemsize, once.before.dtype.itemsize} == {1, 2}
 
 
@@ -64,14 +64,14 @@ def test_odd_half_counts_equal_kernel_to_1e5():
     assert len(primes) == 1797
     for i in range(0, len(primes), 200):
         batch = primes[i:i + 200]
-        assert classnumber.odd_half_counts(batch) == [_kernel(p) for p in batch]
+        assert counting.odd_half_counts(batch) == [_kernel(p) for p in batch]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(100_000, 999_000))
 def test_odd_half_counts_equal_kernel_below_1e6(n):
     p = next(q for q in range(n | 3, 1_000_000, 4) if is_prime(q) and _odd_half(q))
-    assert classnumber.odd_half_counts([p]) == [_kernel(p)]
+    assert counting.odd_half_counts([p]) == [_kernel(p)]
 
 
 def test_chunk_sends_only_odd_half_primes_up_to_the_bound(monkeypatch):
@@ -80,13 +80,13 @@ def test_chunk_sends_only_odd_half_primes_up_to_the_bound(monkeypatch):
     small = [p for p in sieve_primes(60_000) if p > 50_000]
     items = [3, *small, above]
     sent = []
-    counts = classnumber.odd_half_counts
+    counts = counting.odd_half_counts
 
     def recorded(primes):
         sent.extend(primes)
         return counts(primes)
 
-    monkeypatch.setattr(classnumber, "odd_half_counts", recorded)
+    monkeypatch.setattr(counting, "odd_half_counts", recorded)
     lines = _count_chunk(items)
     assert sent == [p for p in small if _odd_half(p)]
     specs = [ReciprocalSpec.for_prime(p) for p in items]
@@ -96,7 +96,7 @@ def test_chunk_sends_only_odd_half_primes_up_to_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("which", [0, 1])  # h(-p), then h(-5p)
 def test_wrong_class_number_raises(monkeypatch, capsys, tmp_path, which):
-    class_numbers, calls = classnumber.class_numbers, []
+    class_numbers, calls = counting.class_numbers, []
 
     def off_by_one(ms, tables):
         calls.append(ms)
@@ -106,9 +106,9 @@ def test_wrong_class_number_raises(monkeypatch, capsys, tmp_path, which):
         return out
 
     p = next(q for q in range(50_003, 60_000, 4) if is_prime(q) and _odd_half(q))
-    monkeypatch.setattr(classnumber, "class_numbers", off_by_one)
+    monkeypatch.setattr(counting, "class_numbers", off_by_one)
     with pytest.raises(ValueError, match="h must be odd, g even"):
-        classnumber.odd_half_counts([p])
+        counting.odd_half_counts([p])
     calls.clear()
     code = main(["figure", "60000", "csv", "--jobs", "1", "--cache", str(tmp_path / "c.csv")])
     assert code == 1
@@ -122,7 +122,7 @@ import contextlib, io, json, sys
 from dseq.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules, "dseq.classnumber" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "dseq.counting" in sys.modules]))
 """
 
 

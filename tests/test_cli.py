@@ -583,7 +583,7 @@ print(json.dumps({"imported": [m for m in json.loads(sys.argv[2]) if m in sys.mo
 
 # Modules that no warm command needs, except verify's own rule checks.
 _HEAVY = ["dataclasses", "inspect", "numpy", "multiprocessing", "dseq.invariants",
-          "dseq.counting", "dseq.classnumber", "fcntl"]
+          "dseq.counting", "fcntl"]
 
 
 def _stat(path):
