@@ -137,9 +137,7 @@ class ReciprocalSpec(namedtuple("ReciprocalSpec", "p l period")):
 
     @classmethod
     def for_prime(cls, p: int) -> "ReciprocalSpec":
-        """The spec of p; multiplicative_order proves p prime, once."""
-        if p in (2, 5):
-            raise ValueError(f"10 is not invertible mod {p}")
+        """The spec of p; multiplicative_order proves p prime, once, and refuses 2 and 5."""
         if p > PRIME_CAP:
             raise ValueError(f"{p} exceeds the supported cap {PRIME_CAP}")
         period = multiplicative_order(10, p)

@@ -53,20 +53,22 @@ rows stand for; the number of rows; the largest count; and a digest of the
 header before it and the columns.  The digests are blake2b, which the
 interpreter has built in; hashlib's sha256 would map OpenSSL into every
 command.  A load whose snapshot matches all of these, the prefix hashed in
-chunks, builds the records from the columns (the counts through
-``_shared``, unless one is ``_SHARED_BELOW`` or more), and checks only the
-lines after the prefix, numbered from where it ends.  A missing, stale,
-truncated, damaged or unreadable snapshot is ignored and every line is
-checked, as without one.  The csv is the only source of truth: the snapshot
-is written only from checked rows, under the csv's lock, through a
-temporary file and ``os.replace``; a write that fails is skipped, and
-deleting the snapshot is always safe.
+one read that is dropped before the columns are read, builds the records
+from the columns (the counts through ``_shared``, unless one is
+``_SHARED_BELOW`` or more), and checks only the lines after the prefix,
+numbered from where it ends.  A missing, stale, truncated, damaged or
+unreadable snapshot is ignored and every line is checked, as without one.
+The csv is the only source of truth: the snapshot is written only from
+checked rows, under the csv's lock, through a temporary file and
+``os.replace``; a write that fails is skipped, and deleting the snapshot is
+always safe.
 
 Concurrency contract: any number of processes may read and append.  Each
-``append_many`` is one write under an exclusive ``fcntl.flock``.  Under the
-lock, a tail with no line break can only be torn, and is clipped first; then
-the lines that other writers appended since this process last read the file
-are checked and indexed as loading would, and only the records still new are
+``append_many`` that writes opens the csv, takes an exclusive ``fcntl.flock``,
+writes once and closes it, which releases the lock.  Under the lock, a tail
+with no line break can only be torn, and is clipped first; then the lines
+that other writers appended since this process last read the file are
+checked and indexed as loading would, and only the records still new are
 written.  So each prime is written once.  A record that contradicts the
 index, another writer's included, raises ``CacheCorruptionError`` there,
 before anything of its batch is written.  A batch that holds only records
@@ -115,7 +117,6 @@ _shared: list[int] = []
 _SEAL_SUFFIX = ".seal"
 _SEAL_FORMAT = f"dseq-seal,v1,{sys.byteorder},{array('I').itemsize}"
 _SEAL_ROW_BYTES = 13 * array("I").itemsize  # p, l, T and the ten counts
-_HASH_CHUNK = 1 << 20  # csv bytes hashed at once while a snapshot is checked
 _DIGEST_HEX = 128  # characters of a blake2b digest in hex
 
 
@@ -282,7 +283,6 @@ class ResultCache:
     def __init__(self, path: str | os.PathLike[str]):
         self.path = os.fspath(path)
         self._records: dict[int, CacheRecord] = {}
-        self._fh = None
         self._read: dict[int, str] = {}  # lines that _append_lines has checked, by p
         self._end = 0  # bytes of the file read so far, all whole lines
         self._lines = 0  # and their number
@@ -298,21 +298,7 @@ class ResultCache:
                 self._unseal(fh)
             except (OSError, ValueError, EOFError):  # no snapshot of this file: check it all
                 fh.seek(0)
-            data = fh.read()  # what follows the snapshot's prefix, if one was read
-        end = _clean_end(data)
-        text = self._decoded(data[:end])
-        self._hash.update(memoryview(data)[:end])
-        if end < len(data):
-            # no trailing newline: an interrupted writer left a partial line
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "%s:%d: skipping truncated final line %r",
-                self.path, self._lines + text.count("\n") + 1,
-                data[end:].decode("utf-8", "replace"),
-            )
-        del data  # indexing needs only the text
-        self._index(text, end)
+            self._index(fh.read())  # what follows the snapshot's prefix, if one was read
 
     def _unseal(self, fh) -> None:
         """Index the rows of the snapshot, and read fh up to the end of the csv
@@ -327,15 +313,11 @@ class ResultCache:
             if (form, rules) != (_SEAL_FORMAT, _rules_digest()) or min(size, lines) < 1 or \
                     os.fstat(seal.fileno()).st_size != len(header) + rows * _SEAL_ROW_BYTES:
                 raise ValueError("not a snapshot of this file")
-            prefix_hash, left = blake2b(), size
-            while left:
-                chunk = fh.read(min(left, _HASH_CHUNK))
-                if not chunk:
-                    raise EOFError("the file is shorter than the snapshot's prefix")
-                prefix_hash.update(chunk)
-                left -= len(chunk)
-            if prefix_hash.hexdigest() != prefix or chunk[-1:] + fh.peek(1)[:1] == b"\r\n":
+            data = fh.read(size)
+            prefix_hash = blake2b(data)
+            if prefix_hash.hexdigest() != prefix or data[-1:] + fh.peek(1)[:1] == b"\r\n":
                 raise ValueError("the prefix differs, or ends inside a line break")
+            del data  # before the columns are read
             payload, columns = blake2b(head), []
             for _ in range(13):
                 columns.append(array("I"))
@@ -382,18 +364,25 @@ class ResultCache:
             except (OSError, OverflowError):
                 os.unlink(path + ".tmp")
 
-    def _decoded(self, data: bytes) -> str:
-        """data as text with universal newlines, as text mode would read it."""
+    def _index(self, data: bytes) -> None:
+        """Check, index and count as read data's whole lines (in universal newlines),
+        which follow what this cache has read of the file (from the header on, if
+        nothing); a final line with no line break is skipped with a warning."""
+        end = _clean_end(data)
         try:
-            text = data.decode("utf-8")
+            text = data[:end].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except UnicodeDecodeError as exc:
             raise CacheCorruptionError(f"{self.path}: not UTF-8 text: {exc}") from exc
-        return text.replace("\r\n", "\n").replace("\r", "\n")
+        if end < len(data):
+            # no trailing newline: an interrupted writer left a partial line
+            import logging
 
-    def _index(self, text: str, size: int) -> None:
-        """Check and index text, the whole lines that follow what this cache has
-        read of the file (from the header on, if nothing), size bytes of it."""
-        self._end += size
+            logging.getLogger(__name__).warning(
+                "%s:%d: skipping truncated final line %r", self.path,
+                self._lines + text.count("\n") + 1, data[end:].decode("utf-8", "replace"))
+        self._hash.update(memoryview(data)[:end])
+        self._end += end
+        del data  # indexing needs only the text (the caller holds no other reference)
         if not text:
             return
         sealed, self._sealed = self._sealed, None  # no snapshot of a file that fails its check
@@ -435,11 +424,9 @@ class ResultCache:
         """
         import fcntl  # here, not at the top: commands that only read never load it
 
-        if self._fh is None:
-            self._fh = open(self.path, "ab+")
-        fd = self._fh.fileno()
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        try:
+        with open(self.path, "ab+") as fh:
+            fd = fh.fileno()
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released when fh is closed
             # no writer is part-way through a write now, so a tail with no line
             # break is torn (by this or another process): clip it
             size = os.fstat(fd).st_size
@@ -449,9 +436,7 @@ class ResultCache:
             if size < self._end:
                 raise CacheCorruptionError(
                     f"{self.path}: shrank to {size} bytes from the {self._end} read")
-            theirs = os.pread(fd, size - self._end, self._end)
-            self._index(self._decoded(theirs), len(theirs))
-            self._hash.update(theirs)
+            self._index(os.pread(fd, size - self._end, self._end))
             index = self._records
             for p, rec in records.items():
                 if index.get(p, rec) != rec:
@@ -461,14 +446,12 @@ class ResultCache:
             if size == 0:
                 text = CACHE_HEADER + "\n" + text
             data = text.encode("utf-8")
-            self._fh.write(data)
-            self._fh.flush()
+            fh.write(data)
+            fh.flush()
             self._hash.update(data)
             self._end += len(data)
             self._lines += text.count("\n")
             index.update((rec.p, rec) for rec in new)
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
 
     def lookup(self, p: int) -> CacheRecord | None:
         return self._records.get(p)
@@ -505,10 +488,7 @@ class ResultCache:
         return len(self._records)
 
     def close(self) -> None:
-        """Close the file, and seal what this cache has checked beyond the snapshot it read."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Seal what this cache has checked beyond the snapshot it read."""
         if self._sealed is not None and self._end > self._sealed:
             self._sealed = self._end
             self._seal()

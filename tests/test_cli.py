@@ -19,7 +19,7 @@ from dseq.census import (
 )
 from dseq.cli import main
 from dseq.sequence import PRIME_CAP, _full_length_counts, long_division_digits
-from dseq.store import CACHE_HEADER, CacheRecord, ResultCache
+from dseq.store import CACHE_HEADER, CacheCorruptionError, CacheRecord, ResultCache
 
 from conftest import DATA_DIR, golden_rows
 
@@ -468,6 +468,30 @@ def test_corrupt_cache_matrix_exit_three(capsys, tmp_path, monkeypatch, full_len
     assert f"bad.csv:{line}: " in err if line else "bad.csv: " in err
     if sealed:  # the snapshot was read whenever it stands for a prefix of the file
         assert unsealed == ([None] if line else [])
+
+
+@pytest.mark.parametrize("sealed", [False, True], ids=["unsealed", "sealed"])
+def test_torn_tail_is_warned_before_a_bad_line_is_refused(tmp_path, monkeypatch, caplog, sealed):
+    path = tmp_path / "c.csv"
+    if sealed:  # a snapshot of the lines above the bad one
+        path.write_bytes(_cache_bytes([L7, L13]))
+        ResultCache(path).close()
+    path.write_bytes(_cache_bytes([L7, L13, "garbage"], tail="13,3,6"))
+    child = subprocess.run([sys.executable, "-m", "dseq.cli", "profile", "7", "--cache", "c.csv"],
+                           cwd=tmp_path, capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert (child.returncode, child.stdout, child.stderr) == (
+        3, b"", b"c.csv:5: skipping truncated final line '13,3,6'\n"
+                b"cache corruption: c.csv:4: not 14 plain decimal integers\n")
+    # in process: the snapshot was read when there is one, and the warning comes first
+    unsealed = []
+    unseal = ResultCache._unseal
+    monkeypatch.setattr(ResultCache, "_unseal",
+                        lambda self, fh: unsealed.append(unseal(self, fh)))
+    with pytest.raises(CacheCorruptionError, match=r"c\.csv:4: not 14"):
+        ResultCache(path)
+    assert caplog.messages == [f"{path}:5: skipping truncated final line '13,3,6'"]
+    assert unsealed == ([None] if sealed else [])
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -293,6 +293,24 @@ def test_other_writers_lines_are_checked_before_writing(tmp_path):
             cache.append(_record(11))
 
 
+def test_write_refused_under_the_lock_releases_it(tmp_path):
+    import fcntl
+    import gc
+
+    path = tmp_path / "c.csv"
+    cache = ResultCache(path)
+    cache.append(REC_601)
+    with path.open("a") as other:  # another writer's line for 601 that is not this index's
+        other.write(_WRONG_601 + "\n")
+    with pytest.raises(CacheCorruptionError, match=r"c\.csv:3: conflicting records for prime 601"):
+        cache.append(REC_7)
+    gc.collect()  # a file left open would warn here, as the collector closes it
+    with path.open("rb") as other:  # and a lock left held would refuse this at once
+        fcntl.flock(other.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+    cache.close()
+    assert path.read_text() == f"{CACHE_HEADER}\n{REC_601.to_line()}\n{_WRONG_601}\n"
+
+
 def test_file_cut_below_what_was_read_is_corruption(tmp_path):
     path = tmp_path / "c.csv"
     with ResultCache(path) as cache:
