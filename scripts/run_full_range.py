@@ -7,16 +7,28 @@ Usage:
 
 Without --cache, dseq's own default applies: $DSEQ_CACHE, then ./dseq-cache.csv.
 
+Next to the artifacts, manifest.txt says what they stand on, with no times
+in it, so that a cold and a warm run write the same manifest:
+
+    dseq <version>
+    cache <byte length of the cache csv> <its blake2b>
+    rules <the rules digest that the cache's snapshot binds>
+    <artifact> <its blake2b> exit <code> dseq <the command, less --cache and --jobs>
+
 With a warm cache this takes 0.9-1.2 s on 2 CPUs, 0.16-0.42 s a command as
 printed; each command reads the cache's snapshot instead of re-checking every
 line.  Cold, the census of 78496 primes dominates: 5.5-7.0 s with --jobs 2.
 """
 import argparse
 import contextlib
+import hashlib
+import os
 import pathlib
 import sys
 import time
 
+from dseq import __version__, store
+from dseq.cli import CACHE_ENV, DEFAULT_CACHE
 from dseq.cli import main as dseq
 
 
@@ -27,6 +39,21 @@ def run_to_file(argv: list[str], path: pathlib.Path) -> int:
         code = dseq(argv)
     print(f"    exit {code} in {(time.perf_counter() - t0) * 1000:.0f} ms")
     return code
+
+
+def blake2b_of(path) -> str:
+    return hashlib.blake2b(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def write_manifest(out: pathlib.Path, cache, runs: list[tuple[list[str], int, str]]) -> None:
+    """Write out/manifest.txt (see the module docstring) for the cache csv and the
+    runs, each its command's words, exit code and artifact name in out."""
+    lines = [f"dseq {__version__}",
+             f"cache {os.path.getsize(cache)} {blake2b_of(cache)}",
+             f"rules {store._rules_digest()}"]
+    lines += [f"{name} {blake2b_of(out / name)} exit {code} dseq {' '.join(words)}"
+              for words, code, name in runs]
+    (out / "manifest.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def main() -> int:
@@ -40,17 +67,15 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     common = (["--cache", args.cache] if args.cache else []) + ["--jobs", str(args.jobs)]
 
-    codes = [
-        run_to_file(["verify", "--full-range", "json"] + common,
-                    out / "verify-full.json"),
-        run_to_file(["figure", "--full-range", "csv"] + common,
-                    out / "figure-full.csv"),
-        run_to_file(["figure", "--full-range", "svg"] + common,
-                    out / "figure-full.svg"),
-        run_to_file(["scan-parity", "999983", "csv"] + common,
-                    out / "scan-parity-full.csv"),
+    commands = [  # each without --cache and --jobs, and the artifact it prints to
+        (["verify", "--full-range", "json"], "verify-full.json"),
+        (["figure", "--full-range", "csv"], "figure-full.csv"),
+        (["figure", "--full-range", "svg"], "figure-full.svg"),
+        (["scan-parity", "999983", "csv"], "scan-parity-full.csv"),
     ]
-    worst = max(codes)
+    runs = [(words, run_to_file(words + common, out / name), name) for words, name in commands]
+    write_manifest(out, args.cache or os.environ.get(CACHE_ENV) or DEFAULT_CACHE, runs)
+    worst = max(code for _, code, _ in runs)
     print("done" if worst == 0 else f"FAILED (worst exit code {worst})")
     return worst
 

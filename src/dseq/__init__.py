@@ -22,9 +22,8 @@ _SOURCES = {
     "census": ("ParityCell", "ParityScanReport", "batch_records", "census_primes",
                "class_census", "classify", "global_digit_census",
                "third_digit_parity_scan"),
-    "invariants": ("HARD", "SOFT", "RULE_IDS", "RuleReport", "RuleStats",
-                   "VerificationSummary", "applicable_rule", "check_histogram",
-                   "verify_range"),
+    "invariants": ("RULE_IDS", "RuleStats", "VerificationSummary", "applicable_rule",
+                   "check_histogram", "verify_range"),
     "numtheory": ("factorize", "is_prime", "multiplicative_order", "sieve_primes"),
     "store": ("CacheCorruptionError", "CacheRecord", "ResultCache"),
     "tables": ("TABLE_KEYS", "TABLE_PRIMES", "table_rows"),

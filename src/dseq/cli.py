@@ -303,9 +303,9 @@ def _cmd_verify(args) -> int:
     limit, fmt = _resolve_limit_format(args)
     with _open_cache(args) as cache:
         summary = verify_range(limit, jobs=args.jobs, cache=cache)
-    # The failure columns read 0 and the violations list is empty: the one hard
-    # check, `period`, is the record check that loading (else exit 3) and
-    # counting (else exit 1) already apply, so no rule checked here can fail.
+    # The failure columns read 0 and the violations list is empty: every rule is
+    # the record check that loading (else exit 3) and counting (else exit 1)
+    # already apply, so no rule checked here can fail.
     if fmt == "csv":
         _csv("rule,checked,hard_failures,strong_failures,soft_passed,soft_checked",
              ((rule, st.checked, 0, 0, sum(st.soft_passed.values()),

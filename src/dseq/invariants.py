@@ -22,14 +22,15 @@ m = p // 10, the catalog is:
   HL9O  f(0)+f(9) = m, other pairs m+1; f(1)=f(5)=f(6); f(3)=f(4)=f(8);
         max digit in {0,2}, min digit in {7,9}
 
-All of it is proven, and all of it is one HARD sub-check, ``period``:
-``sequence._broken_period``, the record check that the cache runs on every
-record it loads or writes.  It holds each rule's period total, the FL closed
-forms (f = N_p), the mirrors of HL3O, HL7O and HL9E (Midy), the pair sums of
-HL1O, HL3E, HL7E and HL9O, the x2 relations that give the equal groups of the
-even periods, and the class-number shape that gives the equal groups and the
-extremes of the odd ones.  ``RULES`` lists only SOFT sub-checks, frequency
-observations of the even half-length types whose pass rates are reported:
+All of it is proven, and all of it is one record check,
+``sequence._broken_period``, which the cache runs on every record it loads
+or writes, so no record here can break it.  It holds each rule's period
+total, the FL closed forms (f = N_p), the mirrors of HL3O, HL7O and HL9E
+(Midy), the pair sums of HL1O, HL3E, HL7E and HL9O, the x2 relations that
+give the equal groups of the even periods, and the class-number shape that
+gives the equal groups and the extremes of the odd ones.  ``RULES`` lists
+only soft sub-checks, frequency observations of the even half-length types
+whose pass rates are reported:
 
   HL1E, HL9E  max_group: the max digits lie in {0,9} or in {1,2,4,5,7,8};
               min_group: the min digits lie in {3,6} or in {1,2,4,5,7,8}
@@ -50,24 +51,17 @@ from .sequence import (
     ClassKey,
     DigitHistogram,
     ReciprocalSpec,
-    _broken_period,
 )
 from .store import ResultCache
 
 __all__ = [
-    "HARD",
-    "SOFT",
     "RULE_IDS",
-    "RuleReport",
     "RuleStats",
     "VerificationSummary",
     "applicable_rule",
     "check_histogram",
     "verify_range",
 ]
-
-HARD = "hard"  # the level of the record check, ``period``
-SOFT = "soft"  # the level of every sub-check in RULES
 
 Counts = tuple[int, ...]
 
@@ -119,31 +113,16 @@ def applicable_rule(spec: ReciprocalSpec) -> str | None:
     return _RULE_BY_KEY.get(spec.key)
 
 
-class RuleReport(namedtuple("RuleReport", "p rule hard_passed soft_outcomes details")):
-    """Outcome of every sub-check of one rule against one prime's histogram.
-
-    ``soft_outcomes`` maps each soft sub-check to whether it held, and
-    ``details`` is ``()`` or the text of the failed period check.
-    """
-
-    __slots__ = ()
-
-
-def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> RuleReport:
-    """Evaluate the applicable rule on a full-period histogram of spec.p.
+def check_histogram(spec: ReciprocalSpec, hist: DigitHistogram) -> dict[str, bool]:
+    """Whether each soft sub-check of spec's rule holds for a full-period histogram
+    of spec.p, by name; ValueError for a prime that no rule applies to.
 
     Only ``hist.counts`` is read, so a ``CacheRecord`` may stand for its own histogram.
     """
     rule = applicable_rule(spec)
     if rule is None:
-        raise ValueError(
-            f"no rule applies to {spec.p} (cofactor {spec.cofactor})"
-        )
-    f = hist.counts
-    broken = _broken_period(spec.p, spec.period, f)
-    soft = {name: holds(f) for name, holds in RULES[rule].items()}
-    details = () if broken is None else (f"{HARD} period: {broken}",)
-    return RuleReport(spec.p, rule, broken is None, soft, details)
+        raise ValueError(f"no rule applies to {spec.p} (cofactor {spec.cofactor})")
+    return {name: holds(hist.counts) for name, holds in RULES[rule].items()}
 
 
 class RuleStats(namedtuple("RuleStats", "checked soft_passed")):

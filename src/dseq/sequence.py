@@ -135,13 +135,14 @@ class ReciprocalSpec(namedtuple("ReciprocalSpec", "p l period")):
         k = (p - 1) // self.period
         return _KEYS[p % 10, (p // 10) % 2, FULL if k == 1 else HALF if k == 2 else OTHER]
 
-    @classmethod
-    def for_prime(cls, p: int) -> "ReciprocalSpec":
-        """The spec of p; multiplicative_order proves p prime, once, and refuses 2 and 5."""
+    @staticmethod
+    def for_prime(p: int) -> "ReciprocalSpec":
+        """The spec of p, whatever class asks; multiplicative_order proves p prime,
+        once, and refuses 2 and 5."""
         if p > PRIME_CAP:
             raise ValueError(f"{p} exceeds the supported cap {PRIME_CAP}")
         period = multiplicative_order(10, p)
-        return cls(p, _L_FOR_LSD[p % 10], period)
+        return ReciprocalSpec(p, _L_FOR_LSD[p % 10], period)
 
 
 # The 24 class keys, by (last digit, tens digit mod 2, length class).

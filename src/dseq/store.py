@@ -29,10 +29,10 @@ the lines above.  ``_first_broken`` takes the block's primality from one
 spans that the cached p fill densely.  The first bad line is named as
 ``path:line``.  The records are built straight from the columns, with no
 per-record dict.  A prime listed twice must have the same record both
-times.  ``CacheRecord(...)``, ``from_line`` and ``from_lines`` cut the
-lines they stand for into the loader's own blocks, so the writer refuses
-exactly what the reader refuses.  The census workers return lines, and the
-cache appends the records it reads back from them as those very lines.
+times.  ``CacheRecord(...)`` and ``from_lines`` cut the lines they stand
+for into the loader's own blocks, so the writer refuses exactly what the
+reader refuses.  The census workers return lines, and the cache appends
+the records it reads back from them as those very lines.
 
 Memory: the count columns of every block loaded or appended go through one
 sharing table, ``_shared``, whose item v is the int v, up to the largest
@@ -160,11 +160,6 @@ class CacheRecord(namedtuple("CacheRecord", "p l period counts"), ReciprocalSpec
 
     def to_line(self) -> str:
         return _line(self.p, self.l, self.period, self.cofactor, self.counts)
-
-    @classmethod
-    def from_line(cls, line: str) -> "CacheRecord":
-        (record,) = cls.from_lines([line])  # and ValueError for more than one line
-        return record
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> list["CacheRecord"]:
@@ -456,13 +451,9 @@ class ResultCache:
     def lookup(self, p: int) -> CacheRecord | None:
         return self._records.get(p)
 
-    def append(self, record: CacheRecord) -> None:
-        """Add a record and flush it to the OS (no fsync); identical re-appends are no-ops."""
-        self.append_many([record])
-
     def append_many(self, records: Iterable[CacheRecord]) -> None:
-        """Add the new records in one write (see append); a batch with a conflict
-        writes nothing."""
+        """Add the new records in one write, flushed to the OS (no fsync); identical
+        re-appends are no-ops, and a batch with a conflict writes nothing."""
         batch: dict[int, CacheRecord] = {}
         for rec in records:
             if batch.setdefault(rec.p, rec) != rec:

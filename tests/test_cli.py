@@ -329,6 +329,42 @@ def test_table_export_honours_env_cache(isolated_cwd):
             (DATA_DIR / f"table{n}.csv").read_text()
 
 
+def test_full_range_manifest_digests_recompute_from_the_files(isolated_cwd):
+    import hashlib
+    import importlib.util
+
+    from dseq import __version__, numtheory, sequence, store
+
+    loader = importlib.util.spec_from_file_location("run_full_range", SCRIPTS / "run_full_range.py")
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    cache, out = isolated_cwd / "c.csv", isolated_cwd / "out"
+    cache.write_text(f"{CACHE_HEADER}\n7,7,6,1,0,1,1,0,1,1,0,1,1,0\n")
+    out.mkdir()
+    runs = [(["verify", "--full-range", "json"], 0, "verify-full.json"),
+            (["scan-parity", "999983", "csv"], 3, "scan-parity-full.csv")]
+    for words, _, name in runs:
+        (out / name).write_text(f"what dseq {' '.join(words)} printed\n")
+    script.write_manifest(out, str(cache), runs)
+
+    def blake2b(path):
+        return hashlib.blake2b(pathlib.Path(path).read_bytes()).hexdigest()
+
+    rules = hashlib.blake2b()
+    for module in (numtheory, sequence, store):
+        rules.update(pathlib.Path(module.__file__).read_bytes())
+    version, (_, size, csv_digest), (_, rules_digest), *lines = \
+        [line.split() for line in (out / "manifest.txt").read_text().splitlines()]
+    assert version == ["dseq", __version__]
+    assert (int(size), csv_digest) == (cache.stat().st_size, blake2b(cache))
+    assert rules_digest == rules.hexdigest() == store._rules_digest()
+    assert len(lines) == len(runs)
+    for (name, digest, exit_, code, prog, *words), run in zip(lines, runs):
+        assert (words, int(code), name) == run and (exit_, prog) == ("exit", "dseq")
+        assert digest == blake2b(out / name)
+    assert {path.name for path in out.iterdir()} == {name for *_, name in runs} | {"manifest.txt"}
+
+
 def test_corrupt_cache_exit_three(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     for content in (b"wrong-header\n", b"\xff\xfe\n"):  # the second is not UTF-8

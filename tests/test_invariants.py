@@ -17,6 +17,7 @@ from dseq.numtheory import sieve_primes
 from dseq.sequence import (
     DigitHistogram,
     ReciprocalSpec,
+    _broken_period,
     histogram,
     long_division_digits,
 )
@@ -50,11 +51,9 @@ def test_applicable_rule_examples():
 def test_check_601_golden_row():
     prof = classify(601)
     hist = DigitHistogram(dict(golden_rows(1))[601])
-    report = check_histogram(prof, hist)
-    assert report.rule == "HL1E"
-    assert report.hard_passed
-    assert report.details == ()
-    assert set(report.soft_outcomes) == {"max_group", "min_group"}
+    assert applicable_rule(prof) == "HL1E"
+    assert _broken_period(601, prof.period, hist.counts) is None
+    assert set(check_histogram(prof, hist)) == {"max_group", "min_group"}
 
 
 def test_check_2203_pair36_is_m_plus_1():
@@ -62,17 +61,15 @@ def test_check_2203_pair36_is_m_plus_1():
     prof = classify(2203)
     counts = dict(golden_rows(3))[2203]
     assert counts[3] + counts[6] == 221 == 2203 // 10 + 1
-    report = check_histogram(prof, DigitHistogram(counts))
-    assert report.hard_passed and report.details == ()
+    assert _broken_period(2203, prof.period, counts) is None
 
 
 def test_check_perturbed_601_fails_hard():
     prof = classify(601)
     counts = list(dict(golden_rows(1))[601])
     counts[0] += 1
-    report = check_histogram(prof, DigitHistogram(tuple(counts)))
-    assert not report.hard_passed
-    assert report.details == ("hard period: counts sum to 301, period is 300",)
+    broken = _broken_period(601, prof.period, tuple(counts))
+    assert broken == "counts sum to 301, period is 300"
 
 
 def test_check_rejects_other_class():
@@ -90,19 +87,19 @@ def test_full_length_closed_forms_small():
     }
     for p, expected in cases.items():
         assert _oracle_hist(p).counts == expected
-        report = check_histogram(classify(p), _oracle_hist(p))
-        assert report.rule == f"FL{p % 10}"
-        assert report.hard_passed
+        prof = classify(p)
+        assert applicable_rule(prof) == f"FL{p % 10}"
+        assert _broken_period(p, prof.period, expected) is None
 
 
 def test_extremal_checks_skipped_for_tiny_primes():
     # p = 3 is HL3E with a one-digit period: no soft check runs on it, and the
     # class-number shape, which fixes the extremes of HL3E, holds only for p > 3
-    report = check_histogram(classify(3), histogram(ReciprocalSpec.for_prime(3)))
-    assert report.hard_passed and report.soft_outcomes == {}
-    report = check_histogram(classify(13), histogram(ReciprocalSpec.for_prime(13)))
-    assert report.rule == "HL3O"
-    assert report.hard_passed
+    hist = histogram(ReciprocalSpec.for_prime(3))
+    assert _broken_period(3, 1, hist.counts) is None
+    assert check_histogram(classify(3), hist) == {}
+    assert applicable_rule(classify(13)) == "HL3O"
+    assert _broken_period(13, 6, histogram(ReciprocalSpec.for_prime(13)).counts) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -112,8 +109,8 @@ def test_rules_hold_on_real_histograms(p):
     rule = applicable_rule(prof)
     if rule is None:
         return
-    report = check_histogram(prof, histogram(ReciprocalSpec.for_prime(p)))
-    assert report.hard_passed, report.details
+    broken = _broken_period(p, prof.period, histogram(ReciprocalSpec.for_prime(p)).counts)
+    assert broken is None, broken
 
 
 FULL_OR_HALF = [p for p in sieve_primes(20_000)
@@ -137,14 +134,14 @@ def test_hard_verdict_is_the_cache_verdict(p, data):
             counts[src] -= k
             counts[dst] += k
     assume(min(counts) >= 0)
-    report = check_histogram(spec, DigitHistogram(tuple(counts)))
+    broken = _broken_period(p, spec.period, tuple(counts))
     try:
         CacheRecord(p, spec.l, spec.period, tuple(counts))
     except ValueError:
         accepted = False
     else:
         accepted = True
-    assert report.hard_passed == accepted, report.details
+    assert (broken is None) == accepted, broken
 
 
 def test_verify_range_small(session_cache):
@@ -199,94 +196,94 @@ def test_verify_range_tallies_equal_per_record_reports(tmp_path, session_cache):
     summary = verify_range(3000, cache=session_cache)
     records = batch_records(census_primes(3000), cache=session_cache, keys=_RULE_BY_KEY)
     tallies = {rule: [0, {}] for rule in RULE_IDS}
-    for report in (check_histogram(rec, rec) for rec in records):
-        assert report.hard_passed
-        t = tallies[report.rule]
+    for rec in records:
+        assert _broken_period(rec.p, rec.period, rec.counts) is None
+        t = tallies[applicable_rule(rec)]
         t[0] += 1
-        for name, ok in report.soft_outcomes.items():
+        for name, ok in check_histogram(rec, rec).items():
             t[1][name] = t[1].get(name, 0) + ok
     assert summary.rules == {rule: RuleStats(*t) for rule, t in tallies.items()}
 
 
 # One perturbed real histogram per kind of failure; the details are the record
 # check's text, which the cache also gives when it refuses such a record, so
-# they are pinned byte for byte.
+# they are pinned byte for byte, with the soft outcomes of the same counts.
 PERTURBED = [
     pytest.param(
-        601, {0: +1}, "HL1E", False,
-        ("hard period: counts sum to 301, period is 300",),
+        601, {0: +1}, "HL1E",
+        "counts sum to 301, period is 300",
         {"max_group": True, "min_group": True},
         id="period_total-equal_group",
     ),
     pytest.param(
-        17, {1: +1, 2: -1}, "FL7", False,
-        ("hard period: full length, but counts (1, 3, 1, 1, 2, 2, 1, 2, 2, 1) "
-         "are not N_p = (1, 2, 2, 1, 2, 2, 1, 2, 2, 1)",),
+        17, {1: +1, 2: -1}, "FL7",
+        ("full length, but counts (1, 3, 1, 1, 2, 2, 1, 2, 2, 1) "
+         "are not N_p = (1, 2, 2, 1, 2, 2, 1, 2, 2, 1)"),
         {},
         id="closed_form",
     ),
     pytest.param(
-        911, {0: -12, 5: +12}, "HL1O", False,
-        ("hard period: period 455 = (p-1)/2 is odd, but counts "
+        911, {0: -12, 5: +12}, "HL1O",
+        ("period 455 = (p-1)/2 is odd, but counts "
          "(46, 47, 50, 44, 44, 59, 47, 41, 44, 33) do not complement to "
-         "N_p = (91, 91, 91, 91, 91, 91, 91, 91, 91, 91)",),
+         "N_p = (91, 91, 91, 91, 91, 91, 91, 91, 91, 91)"),
         {},
         id="comp_sums-extreme_in",
     ),
     pytest.param(
-        5413, {4: +30, 1: -30}, "HL3O", False,
-        ("hard period: period 2706 is even, but counts "
-         "(278, 237, 282, 267, 289, 259, 267, 282, 267, 278) are not mirrored",),
+        5413, {4: +30, 1: -30}, "HL3O",
+        ("period 2706 is even, but counts "
+         "(278, 237, 282, 267, 289, 259, 267, 282, 267, 278) are not mirrored"),
         {"max_pair": False, "min_pair": True},
         id="mirror-soft_extreme_in",
     ),
     pytest.param(
-        2203, {4: +26, 1: -26}, "HL3E", False,
-        ("hard period: period 1101 = (p-1)/2 is odd, but counts "
+        2203, {4: +26, 1: -26}, "HL3E",
+        ("period 1101 = (p-1)/2 is odd, but counts "
          "(110, 75, 119, 127, 127, 119, 94, 101, 119, 110) do not complement to "
-         "N_p = (220, 220, 220, 221, 220, 220, 221, 220, 220, 220)",),
+         "N_p = (220, 220, 220, 221, 220, 220, 221, 220, 220, 220)"),
         {},
         id="extreme_unique",
     ),
     pytest.param(
-        601, {1: -1, 8: -1, 2: +1, 7: +1}, "HL1E", False,
-        ("hard period: period 300 = (p-1)/2 is even and p ends in 1, "
-         "but f(1), f(2), f(4) = 27, 29, 28 are not equal",),
+        601, {1: -1, 8: -1, 2: +1, 7: +1}, "HL1E",
+        ("period 300 = (p-1)/2 is even and p ends in 1, "
+         "but f(1), f(2), f(4) = 27, 29, 28 are not equal"),
         {"max_group": True, "min_group": True},
         id="times_two_square",
     ),
     pytest.param(
-        13, {0: -1, 9: -1, 1: +1, 8: +1}, "HL3O", False,
-        ("hard period: period 6 = (p-1)/2 is even and p ends in 3, "
+        13, {0: -1, 9: -1, 1: +1, 8: +1}, "HL3O",
+        ("period 6 = (p-1)/2 is even and p ends in 3, "
          "but counts (0, 1, 1, 1, 0, 0, 1, 1, 1, 0) do not have "
-         "f(2) + f(4) = 1 and 2f(0) + f(1) + f(4) = 2",),
+         "f(2) + f(4) = 1 and 2f(0) + f(1) + f(4) = 2"),
         {"max_pair": False, "min_pair": False},
         id="times_two_non_square",
     ),
     pytest.param(
-        67, {3: -1, 1: +1, 6: +1, 8: -1}, "HL7E", False,
-        ("hard period: period 33 = (p-1)/2 is odd, but 8f - 4N_p on digits 0-4 "
-         "is (0, -4, 12, 16, -12), not (0, 6h-g, -6h+g, 6h+g, 6h-g)",),
+        67, {3: -1, 1: +1, 6: +1, 8: -1}, "HL7E",
+        ("period 33 = (p-1)/2 is odd, but 8f - 4N_p on digits 0-4 "
+         "is (0, -4, 12, 16, -12), not (0, 6h-g, -6h+g, 6h+g, 6h-g)"),
         {},
         id="class_number_shape",
     ),
     pytest.param(
-        31, {0: -2, 9: +2}, "HL1O", False,
-        ("hard period: period 15 = (p-1)/2 is odd, and 8f - 4N_p on digits 0-4 "
+        31, {0: -2, 9: +2}, "HL1O",
+        ("period 15 = (p-1)/2 is odd, and 8f - 4N_p on digits 0-4 "
          "is (4h-2g, g, 3g, -g, -g) with h = -1 and g = 4, "
-         "but not with h >= 1 and g >= 2",),
+         "but not with h >= 1 and g >= 2"),
         {},
         id="class_number_bounds",
     ),
 ]
 
 
-@pytest.mark.parametrize("p, delta, rule, hard, details, soft", PERTURBED)
-def test_failure_details_are_pinned(p, delta, rule, hard, details, soft):
+@pytest.mark.parametrize("p, delta, rule, details, soft", PERTURBED)
+def test_failure_details_are_pinned(p, delta, rule, details, soft):
     counts = list(histogram(ReciprocalSpec.for_prime(p)).counts)
     for d, change in delta.items():
         counts[d] += change
-    report = check_histogram(classify(p), DigitHistogram(tuple(counts)))
-    assert (report.rule, report.hard_passed) == (rule, hard)
-    assert report.details == details
-    assert report.soft_outcomes == soft
+    prof = classify(p)
+    assert applicable_rule(prof) == rule
+    assert _broken_period(p, prof.period, tuple(counts)) == details
+    assert check_histogram(prof, DigitHistogram(tuple(counts))) == soft

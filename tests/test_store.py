@@ -42,7 +42,7 @@ def test_record_validates():
     with pytest.raises(ValueError):  # period does not divide p - 1
         CacheRecord(601, 9, 7, (1, 1, 1, 1, 1, 1, 1, 0, 0, 0))
     with pytest.raises(ValueError):  # the stored cofactor disagrees: 3 * 300 != 600
-        CacheRecord.from_line("601,9,300,3,35,28,28,31,28,28,31,28,28,35")
+        CacheRecord.from_lines(["601,9,300,3,35,28,28,31,28,28,31,28,28,35"])
     with pytest.raises(ValueError):  # wrong multiplier for a prime ending in 1
         CacheRecord(601, 3, 300, REC_601.counts)
     with pytest.raises(ValueError):  # not prime
@@ -52,14 +52,19 @@ def test_record_validates():
         CacheRecord(big, 1, big - 1, _full_length_counts(big))
 
 
+def test_for_prime_builds_a_spec_whatever_class_asks():
+    spec = CacheRecord.for_prime(601)  # a record needs counts, which a spec has not
+    assert spec == ReciprocalSpec(601, 9, 300) and type(spec) is ReciprocalSpec
+
+
 def test_line_round_trip():
     line = REC_601.to_line()
     assert line == "601,9,300,2,35,28,28,31,28,28,31,28,28,35"
-    assert CacheRecord.from_line(line) == REC_601
+    assert CacheRecord.from_lines([line]) == [REC_601]
     with pytest.raises(ValueError):
-        CacheRecord.from_line("601,9,300")
+        CacheRecord.from_lines(["601,9,300"])
     with pytest.raises(ValueError):
-        CacheRecord.from_line(line + ",1")
+        CacheRecord.from_lines([line + ",1"])
 
 
 @pytest.mark.parametrize("make, field", [
@@ -109,7 +114,7 @@ def test_cache_round_trip(tmp_path):
     with ResultCache(path) as cache:
         assert len(cache) == 0
         assert cache.lookup(601) is None
-        cache.append(REC_601)
+        cache.append_many([REC_601])
         assert cache.lookup(601) == REC_601
         assert len(cache) == 1
     # reopen: state persists
@@ -125,8 +130,8 @@ def test_cache_round_trip(tmp_path):
 def test_append_is_idempotent(tmp_path):
     path = tmp_path / "c.csv"
     with ResultCache(path) as cache:
-        cache.append(REC_601)
-        cache.append(REC_601)  # identical re-append is a no-op
+        cache.append_many([REC_601])
+        cache.append_many([REC_601])  # identical re-append is a no-op
         assert len(cache) == 1
     assert path.read_text().count("601,") == 1
 
@@ -135,16 +140,16 @@ def test_conflicting_append_rejected(tmp_path):
     # obeys every record rule, so the record type accepts it, but not 601's counts
     other = CacheRecord(601, 9, 300, (36, 28, 28, 30, 28, 28, 30, 28, 28, 36))
     with ResultCache(tmp_path / "c.csv") as cache:
-        cache.append(REC_601)
+        cache.append_many([REC_601])
         with pytest.raises(CacheCorruptionError):
-            cache.append(other)
+            cache.append_many([other])
 
 
 def test_batch_with_a_conflict_writes_nothing(tmp_path):
     other = CacheRecord(601, 9, 300, (36, 28, 28, 30, 28, 28, 30, 28, 28, 36))
     path = tmp_path / "c.csv"
     with ResultCache(path) as cache:
-        cache.append(REC_601)
+        cache.append_many([REC_601])
         before = path.read_bytes()
         with pytest.raises(CacheCorruptionError, match="new record for prime 601 disagrees"):
             cache.append_many([REC_7, other])  # against the index
@@ -200,7 +205,7 @@ def test_truncated_final_line_skipped(tmp_path, caplog):
             assert cache.lookup(601) == REC_601
             assert cache.lookup(7) is None
             assert len(cache) == 1
-            cache.append(REC_7)
+            cache.append_many([REC_7])
             assert cache.lookup(7) == REC_7
     assert any("truncated" in r.message for r in caplog.records)
     # the rewritten file is clean and loads without warnings
@@ -217,7 +222,7 @@ def test_torn_tail_after_crlf_lines_clipped_by_bytes(tmp_path):
     path.write_bytes(kept.encode() + b"23,7,2")
     with ResultCache(path) as cache:
         assert len(cache) == 5
-        cache.append(_record(23))
+        cache.append_many([_record(23)])
     assert path.read_bytes() == kept.encode() + (_record(23).to_line() + "\n").encode()
     with ResultCache(path) as cache:
         assert len(cache) == 6
@@ -252,7 +257,7 @@ def test_torn_tail_written_after_load_is_clipped(tmp_path):
     with ResultCache(path) as cache:
         with path.open("a") as other:
             other.write(_record(3).to_line()[:5])
-        cache.append(REC_7)
+        cache.append_many([REC_7])
     assert path.read_text() == f"{CACHE_HEADER}\n{REC_601.to_line()}\n{REC_7.to_line()}\n"
     with ResultCache(path) as cache:
         assert len(cache) == 2
@@ -265,7 +270,7 @@ def test_two_caches_on_one_file_write_each_prime_once(tmp_path):
         first.append_many([_record(p) for p in (3, 7, 11)])
         second.append_many([_record(p) for p in (7, 11, 13)])  # 7 and 11 are the first's
         first.append_many([_record(p) for p in (13, 17)])  # 13 is the second's
-        second.append(_record(19))
+        second.append_many([_record(19)])
         assert second.lookup(3) == _record(3)  # read when the second wrote
         assert first.lookup(19) is None  # not yet read by the first
     assert path.read_text().splitlines() == [
@@ -280,17 +285,17 @@ _WRONG_601 = "601,9,300,2,31,28,28,35,28,28,35,28,28,31"
 def test_other_writers_lines_are_checked_before_writing(tmp_path):
     path = tmp_path / "c.csv"
     with ResultCache(path) as cache:
-        cache.append(REC_7)
+        cache.append_many([REC_7])
         with path.open("a") as other:
             other.write(_WRONG_601 + "\n")
         with pytest.raises(CacheCorruptionError, match="new record for prime 601 disagrees"):
-            cache.append(REC_601)
+            cache.append_many([REC_601])
     assert path.read_text() == f"{CACHE_HEADER}\n{REC_7.to_line()}\n{_WRONG_601}\n"
     with ResultCache(path) as cache:
         with path.open("a") as other:
             other.write("13,3,6,2\n")
         with pytest.raises(CacheCorruptionError, match=r"c\.csv:4: not 14 plain decimal"):
-            cache.append(_record(11))
+            cache.append_many([_record(11)])
 
 
 def test_write_refused_under_the_lock_releases_it(tmp_path):
@@ -299,11 +304,11 @@ def test_write_refused_under_the_lock_releases_it(tmp_path):
 
     path = tmp_path / "c.csv"
     cache = ResultCache(path)
-    cache.append(REC_601)
+    cache.append_many([REC_601])
     with path.open("a") as other:  # another writer's line for 601 that is not this index's
         other.write(_WRONG_601 + "\n")
     with pytest.raises(CacheCorruptionError, match=r"c\.csv:3: conflicting records for prime 601"):
-        cache.append(REC_7)
+        cache.append_many([REC_7])
     gc.collect()  # a file left open would warn here, as the collector closes it
     with path.open("rb") as other:  # and a lock left held would refuse this at once
         fcntl.flock(other.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -317,7 +322,7 @@ def test_file_cut_below_what_was_read_is_corruption(tmp_path):
         cache.append_many([REC_7, REC_601])
         path.write_text(f"{CACHE_HEADER}\n")
         with pytest.raises(CacheCorruptionError, match="shrank"):
-            cache.append(_record(11))
+            cache.append_many([_record(11)])
     assert path.read_text() == f"{CACHE_HEADER}\n"
 
 
@@ -326,7 +331,7 @@ def test_checked_lines_written_as_they_are(tmp_path, monkeypatch):
     lines = [_record(p).to_line() for p in (3, 7, 601)]
     path = tmp_path / "c.csv"
     with ResultCache(path) as cache:
-        cache.append(REC_7)
+        cache.append_many([REC_7])
         monkeypatch.setattr(CacheRecord, "to_line", None)
         records = cache._append_lines(lines)  # 7 is an identical re-append
     assert records == [_record(p) for p in (3, 7, 601)]
@@ -339,7 +344,7 @@ def test_empty_file_is_fresh(tmp_path):
     path.touch()
     with ResultCache(path) as cache:
         assert len(cache) == 0
-        cache.append(REC_7)
+        cache.append_many([REC_7])
     assert path.read_text() == f"{CACHE_HEADER}\n{REC_7.to_line()}\n"
 
 
@@ -394,7 +399,7 @@ def test_bulk_load_equals_from_line(tmp_path, monkeypatch, fresh_sieve, lines_to
         cache = ResultCache(path)
     assert len(cache) == len(lines_to_2e4)
     for line in lines_to_2e4:
-        expected = CacheRecord.from_line(line)
+        (expected,) = CacheRecord.from_lines([line])  # one line at a time
         loaded = cache.lookup(expected.p)
         assert loaded == expected and type(loaded) is CacheRecord
         assert loaded.to_line() == line and loaded.key == expected.key
@@ -483,7 +488,7 @@ def test_loaded_records_share_one_int_per_count(tmp_path, lines_to_2e4):
     path = tmp_path / "c.csv"
     _write_cache(path, lines_to_2e4)
     records = [*ResultCache(path)._records.values(), *CacheRecord.from_lines(lines_to_2e4[-99:]),
-               *map(CacheRecord.from_line, lines_to_2e4[-99:])]
+               *(rec for line in lines_to_2e4[-99:] for rec in CacheRecord.from_lines([line]))]
     counts = [c for rec in records for c in rec.counts if c > 256]  # Python caches the ints below
     first: dict[int, int] = {}
     assert len(counts) > 10_000 and all(first.setdefault(c, c) is c for c in counts)
@@ -608,10 +613,10 @@ def test_unchanged_cache_is_not_sealed_again(sealed_1500):
     seal = sealed_1500.with_name("c.csv.seal")
     before = seal.read_bytes(), seal.stat().st_mtime_ns
     with ResultCache(sealed_1500) as cache:
-        cache.append(cache.lookup(601))  # an identical re-append writes nothing
+        cache.append_many([cache.lookup(601)])  # an identical re-append writes nothing
     assert (seal.read_bytes(), seal.stat().st_mtime_ns) == before
     with ResultCache(sealed_1500) as cache:
-        cache.append(_record(20011))
+        cache.append_many([_record(20011)])
     assert seal.read_bytes() != before[0]
 
 
@@ -673,7 +678,7 @@ def test_long_field_message_does_not_depend_on_the_line_below(tmp_path, count):
 def test_fields_only_int_reads_are_refused(tmp_path, field):
     line = REC_601.to_line().replace(",35,", f",{field},", 1)
     with pytest.raises(ValueError, match="plain decimal integer"):  # although int() reads it
-        CacheRecord.from_line(line)
+        CacheRecord.from_lines([line])
     path = tmp_path / "c.csv"
     _write_cache(path, [REC_7.to_line(), line])
     with pytest.raises(CacheCorruptionError, match="c.csv:3: .*plain decimal integer"):
@@ -718,7 +723,7 @@ def test_fields_only_int_reads_are_refused(tmp_path, field):
 def test_record_contradicting_a_lemma_is_refused_at_load(tmp_path, line, lemma):
     p = int(line.split(",")[0])
     with pytest.raises(ValueError, match=f"record for {p}: .*{lemma}"):
-        CacheRecord.from_line(line)  # the record type refuses it too
+        CacheRecord.from_lines([line])  # the record type refuses it too
     path = tmp_path / "c.csv"
     _write_cache(path, [REC_7.to_line(), _record(13).to_line(), line])
     with pytest.raises(CacheCorruptionError, match=f"c.csv:4: record for {p}: .*{lemma}"):
@@ -732,7 +737,7 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, monkeypatch):
         CacheRecord(601, 9, 300, swapped)
     path = tmp_path / "c.csv"
     with ResultCache(path) as cache:
-        cache.append(REC_7)
+        cache.append_many([REC_7])
     before = path.read_bytes()
     monkeypatch.setattr(counting, "period_counts", lambda specs: [swapped for _ in specs])
     with ResultCache(path) as cache:
